@@ -1,26 +1,32 @@
-// Sharded serving tier: throughput and latency versus shard count, and
-// partition cut quality per partitioner. A fixed query set is driven
-// through ShardedPprServer at 1, 2 and 4 shards under every partition
-// scheme (owner routing — the serving default), plus scatter-gather
-// rows at 2 and 4 shards to price the whole-vector fan-out path.
-// Emits BENCH_shard.json (qps, p50/p99, cut fraction) so sharding
-// regressions are trackable next to BENCH_serve.json.
+// Sharded serving tier against the simpler alternative. A fixed query
+// set is driven through ShardedPprServer (owner routing) at 1, 2 and 4
+// shards under every partition scheme, and — the `single` row for each
+// shard count — through one PprServer with shards x workers_per_shard
+// workers, the same queries and the same client count. Two specs:
+// speedppr:eps=0.5, whose Solve takes no solver-wide lock, and
+// dynfwdpush, whose Solve serializes on its tracker pool. Every row
+// builds a fresh server, so each dynfwdpush query meets a cold source
+// and pays a from-scratch push under that lock. Emits BENCH_shard.json
+// (qps, p50/p99, cut fraction).
 //
-// Expected shape: owner-routed qps holds roughly flat across shard
-// counts at fixed per-shard workers (routing adds nanoseconds, the
-// solve dominates); scatter-gather qps drops by about the shard count
-// (every query runs everywhere); cut fraction is high for hash, lower
-// for range on locality-ordered ids, and degree balances edges.
+// Expected shape: for speedppr the single row keeps pace with owner
+// routing at each shard count — same workers, one replica instead of N.
+// For dynfwdpush owner qps grows with the shard count (one solver lock
+// per replica) while the single row stays at one lock's throughput.
+// Cut fraction is high for hash, lower for range on locality-ordered
+// ids, and degree balances edges.
 
-#include <chrono>
 #include <cstdio>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bench_common.h"
 #include "eval/experiment.h"
 #include "eval/query_gen.h"
 #include "graph/partition.h"
+#include "serve/ppr_server.h"
 #include "serve/sharded_server.h"
 #include "util/flags.h"
 #include "util/table_printer.h"
@@ -30,8 +36,6 @@ namespace {
 
 using namespace ppr;
 
-using Routing = ShardedPprServerOptions::WholeVectorRouting;
-
 struct ShardLoad {
   double wall_seconds = 0.0;
   std::vector<double> latencies;
@@ -39,9 +43,11 @@ struct ShardLoad {
 
 /// `clients` threads split `queries` round-robin and submit as fast as
 /// admission allows, blocking politely on backpressure — the sharded
-/// analogue of bench_serve's DriveLoad.
-ShardLoad DriveLoad(ShardedPprServer& server,
-                    const std::vector<PprQuery>& queries, unsigned clients) {
+/// analogue of bench_serve's DriveLoad. Works against PprServer and
+/// ShardedPprServer alike.
+template <typename Server>
+ShardLoad DriveLoad(Server& server, const std::vector<PprQuery>& queries,
+                    unsigned clients) {
   std::vector<std::vector<double>> per_client(clients);
   Timer timer;
   std::vector<std::thread> threads;
@@ -79,6 +85,23 @@ ShardLoad DriveLoad(ShardedPprServer& server,
   return load;
 }
 
+/// Prepares `spec` on a fresh `Server`, starts it and drives the load.
+/// A sharded server also reports its partition's cut into `report`.
+template <typename Server, typename Options>
+ShardLoad Serve(const Options& options, const char* spec, const Graph& graph,
+                const std::vector<PprQuery>& queries, unsigned clients,
+                PartitionReport* report) {
+  Server server(options);
+  PPR_CHECK_OK(server.AddSolver(spec, graph));
+  PPR_CHECK_OK(server.Start());
+  if constexpr (std::is_same_v<Server, ShardedPprServer>) {
+    *report = server.partition().report();
+  }
+  ShardLoad load = DriveLoad(server, queries, clients);
+  server.Stop();
+  return load;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -93,97 +116,112 @@ int main(int argc, char** argv) {
   }
 
   bench::PrintHeader(
-      "Sharded serving: qps/latency vs shard count, cut per partitioner",
+      "Sharded serving: owner routing vs one server with as many workers",
       "Fixed query set through ShardedPprServer at 1/2/4 shards, every\n"
-      "partition scheme (owner routing), plus scatter-gather rows at 2\n"
-      "and 4 shards. cut = fraction of edges crossing fragments.");
+      "partition scheme, and through one PprServer with shards x\n"
+      "workers_per_shard workers (routing=single). Fresh server per row.\n"
+      "cut = fraction of edges crossing fragments.");
 
-  const char* spec = "speedppr:eps=0.5";
   const size_t query_count = 32 * BenchQueryCount(4);
   bench::BenchJsonWriter json("shard");
 
   struct Row {
     size_t shards;
     PartitionScheme scheme;
-    Routing routing;
+    bool single;  // one PprServer with shards x workers_per_shard workers
   };
   std::vector<Row> rows;
-  for (PartitionScheme scheme :
-       {PartitionScheme::kHash, PartitionScheme::kRange,
-        PartitionScheme::kDegree}) {
-    for (size_t shards : {1u, 2u, 4u}) {
-      rows.push_back({shards, scheme, Routing::kOwner});
+  for (size_t shards : {1u, 2u, 4u}) {
+    rows.push_back({shards, PartitionScheme::kHash, /*single=*/true});
+    for (PartitionScheme scheme :
+         {PartitionScheme::kHash, PartitionScheme::kRange,
+          PartitionScheme::kDegree}) {
+      rows.push_back({shards, scheme, /*single=*/false});
     }
   }
-  rows.push_back({2, PartitionScheme::kHash, Routing::kScatterGather});
-  rows.push_back({4, PartitionScheme::kHash, Routing::kScatterGather});
 
   for (auto& named : LoadBenchDatasets(bench::kApproxScale, /*max_count=*/1)) {
     Graph& graph = named.graph;
-    std::printf("\n--- %s (n=%u, m=%llu, %zu queries, %s) ---\n",
-                named.paper_name.c_str(), graph.num_nodes(),
-                static_cast<unsigned long long>(graph.num_edges()),
-                query_count, spec);
     auto sources = SampleQuerySources(graph, query_count);
     std::vector<PprQuery> queries(sources.size());
     for (size_t i = 0; i < sources.size(); ++i) queries[i].source = sources[i];
 
-    TablePrinter table({"shards", "partition", "routing", "cut", "qps",
-                        "p50(ms)", "p99(ms)"});
-    for (const Row& row : rows) {
-      ShardedPprServerOptions options;
-      options.shards = row.shards;
-      options.partition = row.scheme;
-      options.whole_vector = row.routing;
-      options.shard.workers = static_cast<unsigned>(workers_per_shard);
-      options.shard.queue_capacity = 256;
-      ShardedPprServer server(options);
-      PPR_CHECK_OK(server.AddSolver(spec, graph));
-      PPR_CHECK_OK(server.Start());
-      const PartitionReport& report = server.partition().report();
-      const unsigned clients =
-          static_cast<unsigned>(row.shards) *
-          static_cast<unsigned>(workers_per_shard);
-      ShardLoad load = DriveLoad(server, queries, clients);
-      server.Stop();
+    for (const char* spec : {"speedppr:eps=0.5", "dynfwdpush"}) {
+      std::printf("\n--- %s (n=%u, m=%llu, %zu queries, %s) ---\n",
+                  named.paper_name.c_str(), graph.num_nodes(),
+                  static_cast<unsigned long long>(graph.num_edges()),
+                  queries.size(), spec);
+      // Untimed warm-up, so page faults and pool start-up do not land
+      // on the first timed row.
+      {
+        PartitionReport unused;
+        Serve<PprServer>(PprServerOptions{}, spec, graph, queries,
+                         static_cast<unsigned>(workers_per_shard), &unused);
+      }
 
-      const double qps =
-          static_cast<double>(load.latencies.size()) / load.wall_seconds;
-      const double p50 = Percentile(load.latencies, 50.0) * 1e3;
-      const double p99 = Percentile(load.latencies, 99.0) * 1e3;
-      const char* routing =
-          row.routing == Routing::kScatterGather ? "scatter" : "owner";
-      char cells[4][32];
-      std::snprintf(cells[0], sizeof(cells[0]), "%.3f", report.cut_fraction);
-      std::snprintf(cells[1], sizeof(cells[1]), "%.0f", qps);
-      std::snprintf(cells[2], sizeof(cells[2]), "%.3f", p50);
-      std::snprintf(cells[3], sizeof(cells[3]), "%.3f", p99);
-      table.AddRow({std::to_string(row.shards),
-                    std::string(PartitionSchemeName(row.scheme)), routing,
-                    cells[0], cells[1], cells[2], cells[3]});
+      TablePrinter table({"shards", "partition", "routing", "cut", "qps",
+                          "p50(ms)", "p99(ms)"});
+      for (const Row& row : rows) {
+        const unsigned clients = static_cast<unsigned>(row.shards) *
+                                 static_cast<unsigned>(workers_per_shard);
+        PartitionReport report;  // stays empty (no cut) for single rows
+        ShardLoad load;
+        if (row.single) {
+          PprServerOptions options;
+          options.workers = clients;
+          options.queue_capacity = 256 * row.shards;
+          load = Serve<PprServer>(options, spec, graph, queries, clients,
+                                  &report);
+        } else {
+          ShardedPprServerOptions options;
+          options.shards = row.shards;
+          options.partition = row.scheme;
+          options.shard.workers = static_cast<unsigned>(workers_per_shard);
+          options.shard.queue_capacity = 256;
+          load = Serve<ShardedPprServer>(options, spec, graph, queries,
+                                         clients, &report);
+        }
 
-      json.Add()
-          .Str("dataset", named.name)
-          .Str("solver", spec)
-          .Int("shards", row.shards)
-          .Str("partition", std::string(PartitionSchemeName(row.scheme)))
-          .Str("routing", routing)
-          .Int("workers_per_shard", workers_per_shard)
-          .Int("clients", clients)
-          .Int("queries", load.latencies.size())
-          .Num("wall_seconds", load.wall_seconds)
-          .Num("qps", qps)
-          .Num("p50_ms", p50)
-          .Num("p99_ms", p99)
-          .Num("cut_fraction", report.cut_fraction)
-          .Int("cut_edges", report.cut_edges)
-          .Num("edge_imbalance", report.edge_imbalance);
+        const double qps =
+            static_cast<double>(load.latencies.size()) / load.wall_seconds;
+        const double p50 = Percentile(load.latencies, 50.0) * 1e3;
+        const double p99 = Percentile(load.latencies, 99.0) * 1e3;
+        const char* routing = row.single ? "single" : "owner";
+        const std::string partition =
+            row.single ? "none" : std::string(PartitionSchemeName(row.scheme));
+        char cells[4][32];
+        std::snprintf(cells[0], sizeof(cells[0]), "%.3f", report.cut_fraction);
+        std::snprintf(cells[1], sizeof(cells[1]), "%.0f", qps);
+        std::snprintf(cells[2], sizeof(cells[2]), "%.3f", p50);
+        std::snprintf(cells[3], sizeof(cells[3]), "%.3f", p99);
+        table.AddRow({std::to_string(row.shards), partition, routing,
+                      cells[0], cells[1], cells[2], cells[3]});
+
+        json.Add()
+            .Str("dataset", named.name)
+            .Str("solver", spec)
+            .Int("shards", row.shards)
+            .Str("partition", partition)
+            .Str("routing", routing)
+            .Int("workers_per_shard", workers_per_shard)
+            .Int("clients", clients)
+            .Int("queries", load.latencies.size())
+            .Num("wall_seconds", load.wall_seconds)
+            .Num("qps", qps)
+            .Num("p50_ms", p50)
+            .Num("p99_ms", p99)
+            .Num("cut_fraction", report.cut_fraction)
+            .Int("cut_edges", report.cut_edges)
+            .Num("edge_imbalance", report.edge_imbalance);
+      }
+      std::printf("%s", table.ToString().c_str());
     }
-    std::printf("%s", table.ToString().c_str());
   }
   json.Write();
-  std::printf("\nExpected shape: owner qps roughly flat across shard counts\n"
-              "(routing is cheap); scatter qps divided by the fan width;\n"
-              "degree partitioning shows the lowest edge imbalance.\n");
+  std::printf("\nExpected shape: speedppr single qps keeps pace with owner\n"
+              "qps (same workers, one replica); dynfwdpush owner qps grows\n"
+              "with shards (one solver lock per replica) while single stays\n"
+              "at one lock; degree partitioning shows the lowest edge\n"
+              "imbalance.\n");
   return 0;
 }

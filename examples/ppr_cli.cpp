@@ -27,6 +27,11 @@
 //     --serve-queue=1024 bounded queue capacity
 //     --shards=1         >1 serves through a sharded tier instead
 //     --partition=hash   node-ownership scheme (hash, range, degree)
+// A sharded tier sends each query to the shard that owns its source.
+// Each shard holds its own solver replica, and so its own solver lock.
+// That pays for a solver whose Solve serializes on a lock, such as
+// dynfwdpush. For any other solver, one server with
+// --serve-workers=shards*workers does the same work with one replica.
 //
 // Every solver is dispatched through SolverRegistry — run with --help to
 // see the registered names and their option keys. The spec may carry
@@ -132,8 +137,9 @@ void PrintLatencies(const std::vector<PprFuture>& futures) {
 }
 
 /// --serve with --shards > 1: the same load probe against a sharded
-/// tier — N in-process PprServer shards over a --partition split of the
-/// graph — reporting the aggregated (cross-shard) counter taxonomy.
+/// tier — N in-process PprServer shards, each query routed to the owner
+/// of its source under a --partition split of the graph — reporting the
+/// aggregated (cross-shard) counter taxonomy.
 int RunShardedServeMode(const std::string& algo, const Graph& graph,
                         double qps, double duration, uint64_t workers,
                         uint64_t queue_capacity, uint64_t shards,
@@ -172,7 +178,7 @@ int RunShardedServeMode(const std::string& algo, const Graph& graph,
   OpenLoopLoad load = DriveOpenLoop(server, graph, qps, duration);
   server.Stop();
 
-  const ShardedPprServerStats stats = server.stats();
+  const ShardedPprServerStats stats = server.Snapshot();
   std::printf("aggregated: submitted=%llu rejected=%llu completed=%llu "
               "failed=%llu shed=%llu cancelled=%llu updates=%llu "
               "(fired %llu)\n",

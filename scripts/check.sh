@@ -51,10 +51,10 @@ done
 # BatchTopKEarlyTest for the threaded kernel, BatchQueueTest /
 # PprServerBatchTest for queue coalescing), which races multi-threaded
 # SolveMany blocks and worker-side batch draining against the queue and
-# epoch barrier. The sharded tier (Sharded* suites) races the routing
-# front-end — owner and scatter-gather submission, merger threads, the
-# cross-shard epoch barrier, and the sharded chaos/bounded-drain
-# paths — against N concurrent PprServer shards.
+# epoch barrier. The sharded tier (Sharded* suites) races the owner-
+# routing front-end — tier-wide seed derivation, the per-spec update
+# order mutex that walks ApplyUpdates across the shards, and the sharded
+# chaos/bounded-drain paths — against N concurrent PprServer shards.
 TSAN_FILTER='WorkerPool*:ThreadBudget*:PprServer*:ParallelFor*:Batch*:DynamicResize*:Sharded*'
 
 case "${MODE}" in

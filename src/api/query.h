@@ -14,9 +14,8 @@ namespace ppr {
 /// Sentinel for PprQuery::target: "this is a whole-vector query".
 inline constexpr NodeId kNoTarget = ~NodeId{0};
 
-/// Sentinels for PprResult::shard.
-inline constexpr int32_t kShardNone = -1;    ///< not served by a sharded tier
-inline constexpr int32_t kShardMerged = -2;  ///< merged from a shard fan-out
+/// Sentinel for PprResult::shard: not served by a sharded tier.
+inline constexpr int32_t kShardNone = -1;
 
 /// One SSPPR query, understood by every solver behind the unified API.
 ///
@@ -60,7 +59,7 @@ struct PprQuery {
   /// Relative completion budget, measured from admission (Submit /
   /// SolveBatch). Zero = no deadline. The serving tier arms a
   /// cancellation token with it: a query whose deadline expires while
-  /// still queued is shed (never solved, counted in stats().shed), and
+  /// still queued is shed (never solved, counted in Snapshot().shed), and
   /// one that expires mid-solve is stopped at the solver's next
   /// cooperative poll and fails with kDeadlineExceeded. Ignored by
   /// direct Solver::Solve calls unless the caller arms a token itself.
@@ -103,10 +102,9 @@ struct PprResult {
   /// serving tier. See docs/serving.md, "Load shedding & degraded mode".
   bool degraded = false;
 
-  /// Which shard of a sharded serving tier answered: the owning shard's
-  /// index for an owner-routed query, kShardMerged (-2) for a result the
-  /// router merged from a cross-shard fan-out, and kShardNone (-1) —
-  /// the default — everywhere outside the sharded tier. See
+  /// Which shard of a sharded serving tier answered: the index of the
+  /// shard that owns the query's source, or kShardNone (-1) — the
+  /// default — everywhere outside the sharded tier. See
   /// docs/serving.md, "Sharded serving".
   int32_t shard = -1;
 

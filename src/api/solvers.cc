@@ -154,6 +154,74 @@ void RunFusedBlock(const Graph& graph, SolverContext& context,
   for (size_t b = 0; b < B; ++b) results[b].stats = stats[b];
 }
 
+/// The fused-tier dispatch fwdpush and powitr share. batch= > 0 routes
+/// every solve — fused blocks and B=1 alike — through one multi-source
+/// kernel call, so a per-query Solve of the spec stays bit-identical to
+/// its fused block; batch= unset keeps the solver's classic SolveOne.
+/// The two solvers differ only in the kernel mode (push scan vs power
+/// sweeps) and the per-query threshold they hand it (rmax vs λ).
+class FusedSweepSolver : public BatchSolver {
+ protected:
+  FusedSweepSolver(ParamDefaults params, size_t batch, bool topk_early,
+                   bool push_mode)
+      : params_(params), topk_early_(topk_early), push_mode_(push_mode) {
+    set_max_fused(batch);
+  }
+
+  /// The classic per-query path, taken when batch= is unset.
+  virtual Status SolveOne(const PprQuery& query, SolverContext& context,
+                          PprResult* result) = 0;
+  /// The kernel's per-query threshold: rmax in push mode, λ otherwise.
+  virtual double Threshold(const PprQuery& query) const = 0;
+
+  /// A top-k-early-retired source stops with rsum above its threshold:
+  /// the top-k *set* is guaranteed, the ℓ1 error is not.
+  bool RetiresEarly(const PprQuery& query) const {
+    return topk_early_ && query.top_k > 0;
+  }
+
+  Status DoSolve(const PprQuery& query, SolverContext& context,
+                 PprResult* result) final {
+    if (max_fused() == 0) return SolveOne(query, context, result);
+    const CancelToken* token = context.cancel_token();
+    std::array<Status, 1> statuses = {Status::OK()};
+    PPR_RETURN_IF_ERROR(DoSolveMany({&query, 1}, {}, {&token, 1}, context,
+                                    {result, 1}, statuses));
+    return statuses[0];
+  }
+
+  Status DoSolveMany(std::span<const PprQuery> queries,
+                     std::span<const uint64_t> /*seeds*/,
+                     std::span<const CancelToken* const> cancels,
+                     SolverContext& context, std::span<PprResult> results,
+                     std::span<Status> /*statuses*/) final {
+    const size_t B = queries.size();
+    std::vector<NodeId> sources(B);
+    std::vector<double> alpha(B);
+    std::vector<double> threshold(B);
+    std::vector<size_t> top_k(B, 0);
+    for (size_t b = 0; b < B; ++b) {
+      sources[b] = queries[b].source;
+      alpha[b] = params_.Alpha(queries[b]);
+      threshold[b] = Threshold(queries[b]);
+      if (topk_early_) top_k[b] = queries[b].top_k;
+    }
+    MultiSourceOptions options;
+    options.push_mode = push_mode_;
+    options.topk_early = topk_early_;
+    options.threads = threads();
+    RunFusedBlock(*graph_, context, queries, cancels, options, sources, alpha,
+                  threshold, top_k, results, nullptr);
+    return Status::OK();
+  }
+
+  const ParamDefaults params_;
+
+ private:
+  const bool topk_early_;
+  const bool push_mode_;
+};
+
 // --------------------------------------------------------------------
 // High-precision push family
 // --------------------------------------------------------------------
@@ -167,16 +235,13 @@ void RunFusedBlock(const Graph& graph, SolverContext& context,
 /// (m + dead_ends)·rmax certificate as the FIFO order, but a sweep
 /// order independent of batch width, so fused blocks match per-query
 /// solves of the same spec bit-for-bit).
-class ForwardPushSolver : public BatchSolver {
+class ForwardPushSolver : public FusedSweepSolver {
  public:
   ForwardPushSolver(bool priority, ParamDefaults params, double rmax,
                     size_t batch, bool topk_early)
-      : priority_(priority),
-        params_(params),
-        rmax_(rmax),
-        topk_early_(topk_early) {
-    set_max_fused(batch);
-  }
+      : FusedSweepSolver(params, batch, topk_early, /*push_mode=*/true),
+        priority_(priority),
+        rmax_(rmax) {}
 
   std::string_view name() const override {
     return priority_ ? "prioritypush" : "fwdpush";
@@ -204,35 +269,22 @@ class ForwardPushSolver : public BatchSolver {
   }
 
   double AdvertisedL1Bound(const PprQuery& query) const override {
-    // A top-k-early-retired source stops with rsum above the
-    // certificate: the top-k *set* is guaranteed, the ℓ1 error is not.
-    if (topk_early_ && query.top_k > 0) {
-      return std::numeric_limits<double>::infinity();
-    }
+    if (RetiresEarly(query)) return std::numeric_limits<double>::infinity();
     // Termination: every v inactive w.r.t. rmax, so
     // rsum ≤ Σ_v deff(v)·rmax = (m + #dead-ends)·rmax (Equation (7)).
     const double effective_edges =
         static_cast<double>(graph_->num_edges() + dead_ends_);
-    return effective_edges * ResolvedRmax(query);
+    return effective_edges * Threshold(query);
   }
 
  protected:
-  Status DoSolve(const PprQuery& query, SolverContext& context,
-                 PprResult* result) override {
-    if (max_fused() > 0) {
-      // The batch= spec answers every query — fused or not — through
-      // the scan kernel, keeping B=1 bit-identical to fused blocks.
-      const CancelToken* token = context.cancel_token();
-      std::array<Status, 1> statuses = {Status::OK()};
-      PPR_RETURN_IF_ERROR(DoSolveMany({&query, 1}, {}, {&token, 1}, context,
-                                      {result, 1}, statuses));
-      return statuses[0];
-    }
+  Status SolveOne(const PprQuery& query, SolverContext& context,
+                  PprResult* result) override {
     const NodeId n = graph_->num_nodes();
     PprEstimate* estimate = context.AcquireEstimate(n, query.source);
     ForwardPushOptions options;
     options.alpha = params_.Alpha(query);
-    options.rmax = ResolvedRmax(query);
+    options.rmax = Threshold(query);
     options.assume_initialized = true;
     options.cancel = context.cancel_token();
     if (priority_) {
@@ -247,41 +299,14 @@ class ForwardPushSolver : public BatchSolver {
     return Status::OK();
   }
 
-  Status DoSolveMany(std::span<const PprQuery> queries,
-                     std::span<const uint64_t> /*seeds*/,
-                     std::span<const CancelToken* const> cancels,
-                     SolverContext& context, std::span<PprResult> results,
-                     std::span<Status> /*statuses*/) override {
-    const size_t B = queries.size();
-    std::vector<NodeId> sources(B);
-    std::vector<double> alpha(B);
-    std::vector<double> threshold(B);
-    std::vector<size_t> top_k(B, 0);
-    for (size_t b = 0; b < B; ++b) {
-      sources[b] = queries[b].source;
-      alpha[b] = params_.Alpha(queries[b]);
-      threshold[b] = ResolvedRmax(queries[b]);
-      if (topk_early_) top_k[b] = queries[b].top_k;
-    }
-    MultiSourceOptions options;
-    options.push_mode = true;
-    options.topk_early = topk_early_;
-    options.threads = threads();
-    RunFusedBlock(*graph_, context, queries, cancels, options, sources, alpha,
-                  threshold, top_k, results, nullptr);
-    return Status::OK();
-  }
-
- private:
-  double ResolvedRmax(const PprQuery& query) const {
+  double Threshold(const PprQuery& query) const override {
     if (rmax_ > 0) return rmax_;
     return params_.Lambda(query) / static_cast<double>(graph_->num_edges());
   }
 
+ private:
   const bool priority_;
-  const ParamDefaults params_;
   const double rmax_;  // 0 → derive lambda/m per query
-  const bool topk_early_;
   NodeId dead_ends_ = 0;
 };
 
@@ -371,12 +396,10 @@ class PowerPushSolver : public Solver {
 /// solver's per-column operation sequence exactly: fused results match
 /// classic serial powitr bit-for-bit at threads<=1 and to the usual
 /// ~1e-12 scatter/merge reassociation at threads>1.
-class PowerIterationSolver : public BatchSolver {
+class PowerIterationSolver : public FusedSweepSolver {
  public:
   PowerIterationSolver(ParamDefaults params, size_t batch, bool topk_early)
-      : params_(params), topk_early_(topk_early) {
-    set_max_fused(batch);
-  }
+      : FusedSweepSolver(params, batch, topk_early, /*push_mode=*/false) {}
 
   std::string_view name() const override { return "powitr"; }
 
@@ -393,24 +416,13 @@ class PowerIterationSolver : public BatchSolver {
   }
 
   double AdvertisedL1Bound(const PprQuery& query) const override {
-    // A top-k-early-retired source stops with rsum above λ: the top-k
-    // *set* is guaranteed, the ℓ1 error is not.
-    if (topk_early_ && query.top_k > 0) {
-      return std::numeric_limits<double>::infinity();
-    }
+    if (RetiresEarly(query)) return std::numeric_limits<double>::infinity();
     return params_.Lambda(query);
   }
 
  protected:
-  Status DoSolve(const PprQuery& query, SolverContext& context,
-                 PprResult* result) override {
-    if (max_fused() > 0) {
-      const CancelToken* token = context.cancel_token();
-      std::array<Status, 1> statuses = {Status::OK()};
-      PPR_RETURN_IF_ERROR(DoSolveMany({&query, 1}, {}, {&token, 1}, context,
-                                      {result, 1}, statuses));
-      return statuses[0];
-    }
+  Status SolveOne(const PprQuery& query, SolverContext& context,
+                  PprResult* result) override {
     const NodeId n = graph_->num_nodes();
     PprEstimate* estimate = context.AcquireEstimate(n, query.source);
     PowerIterationOptions options;
@@ -429,34 +441,9 @@ class PowerIterationSolver : public BatchSolver {
     return Status::OK();
   }
 
-  Status DoSolveMany(std::span<const PprQuery> queries,
-                     std::span<const uint64_t> /*seeds*/,
-                     std::span<const CancelToken* const> cancels,
-                     SolverContext& context, std::span<PprResult> results,
-                     std::span<Status> /*statuses*/) override {
-    const size_t B = queries.size();
-    std::vector<NodeId> sources(B);
-    std::vector<double> alpha(B);
-    std::vector<double> threshold(B);
-    std::vector<size_t> top_k(B, 0);
-    for (size_t b = 0; b < B; ++b) {
-      sources[b] = queries[b].source;
-      alpha[b] = params_.Alpha(queries[b]);
-      threshold[b] = params_.Lambda(queries[b]);
-      if (topk_early_) top_k[b] = queries[b].top_k;
-    }
-    MultiSourceOptions options;
-    options.push_mode = false;
-    options.topk_early = topk_early_;
-    options.threads = threads();
-    RunFusedBlock(*graph_, context, queries, cancels, options, sources, alpha,
-                  threshold, top_k, results, nullptr);
-    return Status::OK();
+  double Threshold(const PprQuery& query) const override {
+    return params_.Lambda(query);
   }
-
- private:
-  const ParamDefaults params_;
-  const bool topk_early_;
 };
 
 /// Global PageRank — the uniform-teleport special case; ignores

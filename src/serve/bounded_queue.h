@@ -81,7 +81,7 @@ class BoundedQueue {
   /// `*saw_full`, when non-null, is set to true iff at least one check
   /// found the queue full — one flag per submission no matter how many
   /// backoff rounds it took, which is what lets the server count one
-  /// refused submission exactly once in stats().rejected.
+  /// refused submission exactly once in Snapshot().rejected.
   ///
   /// `*backoff_after`, when non-null, receives the backoff interval the
   /// producer ended at — observable pacing for the regression tests

@@ -5,7 +5,7 @@
 
 #include "api/batch_solver.h"
 #include "api/registry.h"
-#include "serve/future_state.h"
+#include "util/cancellation.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/mutex.h"
@@ -15,6 +15,45 @@
 namespace ppr {
 
 // ---------------------------------------------------------------- future
+
+/// Shared completion state behind a PprFuture: workers publish into it,
+/// any number of PprFuture copies wait on it.
+struct PprFuture::State {
+  Mutex mu;
+  CondVar cv;
+  bool done PPR_GUARDED_BY(mu) = false;
+  Status status PPR_GUARDED_BY(mu);
+  PprResult result PPR_GUARDED_BY(mu);
+  std::chrono::steady_clock::time_point submitted;
+  double latency_seconds PPR_GUARDED_BY(mu) = 0.0;
+  /// Lives here (not in the queued request) so Cancel() keeps working
+  /// while the query is in flight and the token outlives the server if
+  /// the future does. Armed/chained before the request is published to
+  /// the queue; only polled (atomics) afterwards.
+  CancelToken token;
+};
+
+namespace {
+
+/// Publishes one terminal (status, result) pair: stamps the latency
+/// clock, marks the state done and wakes every waiter. Exactly once per
+/// state — the single point where a future completes.
+void PublishToFuture(PprFuture::State& state, Status status,
+                     PprResult result) {
+  {
+    MutexLock lock(state.mu);
+    state.status = std::move(status);
+    state.result = std::move(result);
+    state.latency_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      state.submitted)
+            .count();
+    state.done = true;
+  }
+  state.cv.NotifyAll();
+}
+
+}  // namespace
 
 bool PprFuture::done() const {
   PPR_CHECK(valid());
@@ -491,8 +530,7 @@ void PprServer::FinishRequest(internal::ServeRequest& request,
   const bool terminal_ok = status.ok();
   const StatusCode terminal_code = status.code();
   if (terminal_ok) result.shard = options_.shard_stamp;
-  internal::PublishToFuture(*request.state, std::move(status),
-                            std::move(result));
+  PublishToFuture(*request.state, std::move(status), std::move(result));
 
   {
     MutexLock lock(mu_);
@@ -532,30 +570,12 @@ PprServerStats PprServer::Snapshot() const {
   return stats;
 }
 
-PprServerStats PprServer::stats() const { return Snapshot(); }
-
 std::vector<std::string> PprServer::solver_names() const {
   MutexLock lock(mu_);
   std::vector<std::string> names;
   names.reserve(solvers_.size());
   for (const Hosted& hosted : solvers_) names.push_back(hosted.name);
   return names;
-}
-
-bool PprServer::HostsSolver(std::string_view spec) const {
-  MutexLock lock(mu_);
-  return FindHosted(spec) != nullptr;
-}
-
-Result<SolverCapabilities> PprServer::HostedCapabilities(
-    std::string_view spec) const {
-  MutexLock lock(mu_);
-  const Hosted* hosted = FindHosted(spec);
-  if (hosted == nullptr) {
-    return Status::NotFound("no solver '" + std::string(spec) +
-                            "' on this server");
-  }
-  return hosted->solver->capabilities();
 }
 
 }  // namespace ppr

@@ -26,8 +26,7 @@ namespace ppr {
 /// state); Wait/Get may be called from any thread, any number of times.
 class PprFuture {
  public:
-  /// Opaque shared completion state (defined in serve/future_state.h;
-  /// serving-tier internal).
+  /// Opaque shared completion state (defined in ppr_server.cc).
   struct State;
 
   PprFuture() = default;
@@ -59,7 +58,6 @@ class PprFuture {
 
  private:
   friend class PprServer;
-  friend class ShardedPprServer;
   explicit PprFuture(std::shared_ptr<State> state)
       : state_(std::move(state)) {}
 
@@ -197,12 +195,12 @@ struct PprServerStats {
 /// client; blocking it *is* the backpressure), pacing its admission
 /// re-checks with a bounded exponential backoff instead of hot-spinning
 /// resubmissions; each such backpressured submission shows up exactly
-/// once in stats().rejected.
+/// once in Snapshot().rejected.
 ///
 /// Deadlines & shedding: a query with PprQuery::deadline > 0 must
 /// finish within that budget of its submission. Workers shed queries
 /// whose deadline already expired in-queue (completed with
-/// DeadlineExceeded, never solved — stats().shed), and a deadline that
+/// DeadlineExceeded, never solved — Snapshot().shed), and a deadline that
 /// expires mid-solve stops the compute at the solver's next
 /// cancellation poll. PprFuture::Cancel() stops a query the same
 /// cooperative way with Cancelled. See docs/serving.md, "Deadlines and
@@ -268,7 +266,7 @@ class PprServer {
   /// Waits for space bounded by the query's deadline (when set) or
   /// options.batch_admission_budget (0 = indefinitely); exceeding the
   /// bound fails with DeadlineExceeded. Each backpressured admission
-  /// counts exactly once in stats().rejected.
+  /// counts exactly once in Snapshot().rejected.
   Result<PprFuture> SubmitBlocking(const PprQuery& query,
                                    std::string_view solver = {},
                                    uint64_t seed = 0);
@@ -308,28 +306,13 @@ class PprServer {
 
   /// Atomic point-in-time snapshot of every counter: one lock hold
   /// covers the whole struct, so no field can be torn against another
-  /// (reading stats().submitted and stats().completed as two calls can
-  /// observe a query between its admission and its terminal counter).
-  /// Aggregation across shards and any submitted-vs-terminal arithmetic
-  /// must go through this.
+  /// (reading Snapshot().submitted and Snapshot().completed as two calls
+  /// can observe a query between its admission and its terminal
+  /// counter). Aggregation across shards and any submitted-vs-terminal
+  /// arithmetic must use the fields of one call.
   PprServerStats Snapshot() const PPR_EXCLUDES(mu_);
 
-  /// Alias of Snapshot(), kept for call-site brevity. Each call is one
-  /// atomic snapshot; arithmetic across *two* calls is still two
-  /// snapshots — use one Snapshot() for cross-field invariants.
-  PprServerStats stats() const PPR_EXCLUDES(mu_);
-
   std::vector<std::string> solver_names() const PPR_EXCLUDES(mu_);
-
-  /// True when `spec` routes to a hosted solver (empty → has a default).
-  bool HostsSolver(std::string_view spec = {}) const PPR_EXCLUDES(mu_);
-
-  /// Capabilities of the hosted solver `spec` routes to (empty → the
-  /// default solver) — what a routing tier needs to decide fan-out and
-  /// residue merging without reaching into the solver. NotFound for an
-  /// unknown spec.
-  Result<SolverCapabilities> HostedCapabilities(std::string_view spec = {})
-      const PPR_EXCLUDES(mu_);
 
   const PprServerOptions& options() const { return options_; }
 
@@ -353,7 +336,7 @@ class PprServer {
   /// future and bumps exactly one terminal counter. `triage` is the
   /// pre-solve token check that decided whether the query ran (its
   /// DeadlineExceeded is what distinguishes shed from failed);
-  /// `fused` adds the query to stats().coalesced.
+  /// `fused` adds the query to Snapshot().coalesced.
   void FinishRequest(internal::ServeRequest& request, const Status& triage,
                      Status status, PprResult result, bool fused)
       PPR_EXCLUDES(mu_);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "eval/metrics.h"
-#include "serve/future_state.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -22,13 +20,8 @@ PprServerOptions ShardOptions(const ShardedPprServerOptions& options,
 }  // namespace
 
 ShardedPprServer::ShardedPprServer(ShardedPprServerOptions options)
-    : options_(std::move(options)),
-      merge_queue_(std::max<size_t>(1, options_.merge_queue_capacity)),
-      hard_stop_(std::make_shared<std::atomic<bool>>(false)) {
+    : options_(std::move(options)) {
   options_.shards = std::max<size_t>(1, options_.shards);
-  options_.mergers = std::max(1u, options_.mergers);
-  options_.merge_queue_capacity =
-      std::max<size_t>(1, options_.merge_queue_capacity);
   shards_.reserve(options_.shards);
   for (size_t s = 0; s < options_.shards; ++s) {
     shards_.push_back(std::make_unique<PprServer>(ShardOptions(options_, s)));
@@ -60,15 +53,12 @@ Status ShardedPprServer::AddSolver(std::string_view spec, const Graph& graph) {
     }
   }
   // One independent replica per shard — index builds happen k times
-  // here, never per query. The partition governs routing and merging;
-  // replicas keep every shard able to answer any whole-vector fan-out.
+  // here, never per query. The partition only decides which replica
+  // answers a source.
   for (auto& shard : shards_) {
     PPR_RETURN_IF_ERROR(shard->AddSolver(spec, graph));
   }
-  auto caps = shards_[0]->HostedCapabilities(spec);
-  if (!caps.ok()) return caps.status();
-  solvers_.push_back({std::string(spec), caps.value(),
-                      std::make_unique<SharedMutex>()});
+  solvers_.push_back({std::string(spec), std::make_unique<Mutex>()});
   return Status::OK();
 }
 
@@ -82,13 +72,6 @@ Status ShardedPprServer::Start() {
     PPR_RETURN_IF_ERROR(shard->Start());
   }
   started_ = true;
-  if (options_.whole_vector ==
-      ShardedPprServerOptions::WholeVectorRouting::kScatterGather) {
-    mergers_.reserve(options_.mergers);
-    for (unsigned i = 0; i < options_.mergers; ++i) {
-      mergers_.emplace_back([this] { MergerLoop(); });
-    }
-  }
   return Status::OK();
 }
 
@@ -107,29 +90,19 @@ void ShardedPprServer::StopInternal(bool bounded,
     if (stopped_) return;
     stopped_ = true;
   }
-  // Later Submits fail; merge threads drain what was admitted.
-  merge_queue_.Close();
-  if (bounded) {
-    // Flip the router hard stop first so queued fan-outs triage to
-    // Cancelled, then drain every shard in parallel under the budget —
-    // in-flight partials complete (with Cancelled at worst), so the
-    // merge threads can never wait on a future that will not finish.
-    hard_stop_->store(true, std::memory_order_relaxed);
-    std::vector<std::thread> stoppers;
-    stoppers.reserve(shards_.size());
-    for (auto& shard : shards_) {
-      stoppers.emplace_back([&shard, drain_budget] {
-        shard->Stop(drain_budget);
-      });
+  // Every query lives in one shard, so stopping the tier is stopping
+  // each shard. A bounded drain hands each shard what is left of one
+  // common deadline: shards later in the loop kept draining while the
+  // earlier ones stopped, and none outlives the budget.
+  const auto deadline = std::chrono::steady_clock::now() + drain_budget;
+  for (auto& shard : shards_) {
+    if (!bounded) {
+      shard->Stop();
+      continue;
     }
-    for (std::thread& stopper : stoppers) stopper.join();
-  }
-  // Unbounded: join the merge threads *before* stopping the shards —
-  // draining a fan-out needs shards that still accept Submits.
-  for (std::thread& merger : mergers_) merger.join();
-  mergers_.clear();
-  if (!bounded) {
-    for (auto& shard : shards_) shard->Stop();
+    const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        deadline - std::chrono::steady_clock::now());
+    shard->Stop(std::max(left, std::chrono::nanoseconds{0}));
   }
 }
 
@@ -156,38 +129,20 @@ Result<PprFuture> ShardedPprServer::Route(const PprQuery& query,
                                           std::string_view solver,
                                           uint64_t seed, bool blocking) {
   size_t owner = 0;
-  const HostedSpec* spec = nullptr;
-  bool scatter = false;
   {
     MutexLock lock(mu_);
     if (!started_ || stopped_) {
       return Status::FailedPrecondition("sharded server is not running");
     }
-    // Seeds derive at the router (same SplitStream scheme as one
-    // server) so a fan-out hands every shard the *same* seed — the
-    // replicas then produce identical vectors to merge from.
+    // Seeds derive at the router with one server's SplitStream scheme,
+    // keyed by the tier-wide submission index, so a query's seed does
+    // not depend on which shard answers it.
     if (seed == 0) {
       seed = SplitStream(options_.shard.seed, next_submission_).NextUint64();
     }
     next_submission_++;
-    scatter = options_.whole_vector ==
-                  ShardedPprServerOptions::WholeVectorRouting::kScatterGather &&
-              query.target == kNoTarget;
-    if (scatter) {
-      // Resolve the spec here: fanning an empty spec would let each
-      // shard's degraded policy reroute independently, and a merge
-      // across different solvers is meaningless. A scatter query is
-      // therefore never degraded.
-      spec = FindSpec(solver);
-      if (spec == nullptr) {
-        return Status::NotFound("no solver '" + std::string(solver) +
-                                "' on this sharded server");
-      }
-    } else {
-      owner = partition_->FragmentOf(query.source);
-    }
+    owner = partition_->FragmentOf(query.source);
   }
-  if (scatter) return EnqueueScatter(query, *spec, seed, blocking);
   // Owner routing forwards (query, spec, seed) verbatim — including an
   // empty spec, so the owner shard's degraded policy applies exactly as
   // on a single server.
@@ -241,19 +196,17 @@ Result<uint64_t> ShardedPprServer::ApplyUpdates(const UpdateBatch& batch,
                               "' on this sharded server");
     }
   }
-  // Routing accounting: which fragment each update belongs to, and how
-  // many cross the cut. The replicas still apply the full batch below —
-  // a transport would ship these slices instead.
+  // Routing accounting: how many updates cross the cut. The replicas
+  // still apply the full batch below — a transport would ship
+  // per-fragment slices instead.
   const UpdateSplit split = partition_->SplitBatch(batch);
   UpdateStats total{};
   uint64_t epoch = 0;
   {
-    // The cross-shard epoch barrier: exclusive against in-flight
-    // fan-outs of this spec (they hold it shared around submit + wait +
-    // merge), so no merged result ever mixes epochs. Each shard then
-    // applies the full batch behind its own barrier, which orders it
-    // against that shard's owner-routed queries.
-    ExclusiveLock epoch_guard(*spec->barrier);
+    // One batch at a time per spec, so every shard applies the same
+    // batch sequence. Each shard's own barrier then orders the batch
+    // against that shard's queries.
+    MutexLock order_guard(*spec->update_order);
     for (size_t s = 0; s < shards_.size(); ++s) {
       UpdateStats shard_stats{};
       auto applied = shards_[s]->ApplyUpdates(batch, spec->name, &shard_stats);
@@ -289,225 +242,7 @@ Result<uint64_t> ShardedPprServer::ApplyUpdates(const UpdateBatch& batch,
   return epoch;
 }
 
-Result<PprFuture> ShardedPprServer::EnqueueScatter(const PprQuery& query,
-                                                   const HostedSpec& spec,
-                                                   uint64_t seed,
-                                                   bool blocking) {
-  MergeJob job;
-  job.query = query;
-  job.spec = &spec;
-  job.seed = seed;
-  job.state = std::make_shared<PprFuture::State>();
-  job.state->submitted = std::chrono::steady_clock::now();
-  // Token setup before publication, exactly as PprServer::Enqueue: the
-  // deadline covers queue + fan + merge end to end, and a bounded-drain
-  // Stop reaches pending fan-outs through the chained hard stop.
-  if (query.deadline.count() > 0) {
-    job.state->token.ArmDeadline(job.state->submitted + query.deadline);
-  }
-  job.state->token.ChainHardStop(hard_stop_);
-  PprFuture future(job.state);
-
-  QueuePushResult admitted;
-  bool saw_full = false;
-  if (blocking) {
-    auto admission_deadline = std::chrono::steady_clock::time_point::max();
-    if (query.deadline.count() > 0) {
-      admission_deadline = job.state->submitted + query.deadline;
-    } else if (options_.shard.batch_admission_budget.count() > 0) {
-      admission_deadline =
-          job.state->submitted + options_.shard.batch_admission_budget;
-    }
-    admitted =
-        merge_queue_.PushUntil(std::move(job), admission_deadline, &saw_full);
-  } else {
-    admitted = merge_queue_.TryPush(std::move(job))
-                   ? QueuePushResult::kAdmitted
-                   : QueuePushResult::kClosed;  // refined below
-  }
-  MutexLock lock(mu_);
-  if (admitted != QueuePushResult::kAdmitted) {
-    if (merge_queue_.closed()) {
-      return Status::FailedPrecondition("sharded server is shutting down");
-    }
-    fan_rejected_++;
-    if (admitted == QueuePushResult::kTimedOut) {
-      return Status::DeadlineExceeded(
-          "admission deadline passed while waiting for merge-queue space (" +
-          std::to_string(merge_queue_.capacity()) + " pending)");
-    }
-    return Status::Unavailable(
-        "merge queue full (" + std::to_string(merge_queue_.capacity()) +
-        " pending fan-outs); retry later or raise merge_queue_capacity");
-  }
-  if (saw_full) fan_rejected_++;
-  fanned_++;
-  return future;
-}
-
-void ShardedPprServer::MergerLoop() {
-  while (auto job = merge_queue_.Pop()) {
-    ServeScatter(*job);
-  }
-}
-
-void ShardedPprServer::ServeScatter(MergeJob& job) {
-  // Triage before fanning: a fan-out whose deadline expired in the
-  // merge queue (or that was cancelled, or that a bounded-drain stop
-  // overtook) never submits a single shard query.
-  const Status triage = job.state->token.CheckNow();
-  if (!triage.ok()) {
-    FinishScatter(job, triage, triage, PprResult{});
-    return;
-  }
-
-  std::vector<PprFuture> partials;
-  partials.reserve(shards_.size());
-  Status failure;
-  {
-    // Shared hold of the cross-shard epoch barrier across submit + wait:
-    // a router ApplyUpdates on this spec either precedes every partial
-    // or follows all of them, so the partials agree on one epoch.
-    SharedLock epoch_guard(*job.spec->barrier);
-    for (auto& shard : shards_) {
-      auto submitted = shard->Submit(job.query, job.spec->name, job.seed);
-      if (!submitted.ok()) {
-        failure = submitted.status();
-        break;
-      }
-      partials.push_back(std::move(submitted).ValueOrDie());
-    }
-    bool relayed = false;
-    if (!failure.ok()) {
-      // A shard refused (full queue / racing shutdown): the siblings
-      // already admitted must still complete — cancel and wait them out
-      // rather than abandoning their futures.
-      for (PprFuture& partial : partials) partial.Cancel();
-      relayed = true;
-    }
-    for (;;) {
-      bool all_done = true;
-      for (PprFuture& partial : partials) {
-        all_done = all_done && partial.done();
-      }
-      if (all_done) break;
-      // Relay the logical query's cancellation/deadline/hard-stop to
-      // the shards once, then keep waiting — every shard future is
-      // guaranteed to complete.
-      if (!relayed && !job.state->token.CheckNow().ok()) {
-        for (PprFuture& partial : partials) partial.Cancel();
-        relayed = true;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  }
-
-  if (!failure.ok()) {
-    // Map a fan that raced shutdown or expiry onto the logical query's
-    // own terminal status (Cancelled / DeadlineExceeded) instead of the
-    // shard's lifecycle refusal.
-    const Status token_now = job.state->token.CheckNow();
-    if (!token_now.ok()) failure = token_now;
-    FinishScatter(job, triage, std::move(failure), PprResult{});
-    return;
-  }
-
-  std::vector<PprResult> results(partials.size());
-  for (size_t i = 0; i < partials.size(); ++i) {
-    Status status = partials[i].Get(&results[i]);
-    if (!status.ok() && failure.ok()) failure = status;
-  }
-  if (failure.ok()) {
-    for (size_t i = 1; i < results.size(); ++i) {
-      if (results[i].epoch != results[0].epoch ||
-          results[i].scores.size() != results[0].scores.size()) {
-        failure = Status::Corruption(
-            "shard partials disagree (epoch " +
-            std::to_string(results[i].epoch) + " vs " +
-            std::to_string(results[0].epoch) +
-            ") — was a shard updated outside the router?");
-        break;
-      }
-    }
-  }
-  if (!failure.ok()) {
-    FinishScatter(job, triage, std::move(failure), PprResult{});
-    return;
-  }
-  FinishScatter(job, triage, Status::OK(), MergePartials(job.query, results));
-}
-
-PprResult ShardedPprServer::MergePartials(
-    const PprQuery& query, std::vector<PprResult>& partials) const {
-  PprResult merged;
-  const PprResult& base = partials[0];
-  const size_t n = base.scores.size();
-  // Ghost-aware reassembly: every global node's score comes from the
-  // shard that owns it. With replicas the partials are identical, so
-  // this is exactly the single-server vector; with fragment-local state
-  // this same loop is the reduce step.
-  merged.scores.resize(n);
-  for (size_t g = 0; g < n; ++g) {
-    merged.scores[g] = partials[partition_->FragmentOf(
-        static_cast<NodeId>(g))].scores[g];
-  }
-  if (query.want_residues && base.has_residues()) {
-    merged.residues.resize(n);
-    for (size_t g = 0; g < n; ++g) {
-      merged.residues[g] = partials[partition_->FragmentOf(
-          static_cast<NodeId>(g))].residues[g];
-    }
-  }
-  // Recompute top-k from the merged vector with the same deterministic
-  // TopK every solver stamps with (eval/metrics.h), preserving the
-  // NaN-safe value-desc/id-asc order bit for bit.
-  if (query.top_k > 0) merged.top_nodes = TopK(merged.scores, query.top_k);
-  merged.l1_bound = base.l1_bound;
-  merged.epoch = base.epoch;
-  merged.solver = base.solver;
-  merged.stats.final_rsum = base.stats.final_rsum;
-  for (const PprResult& partial : partials) {
-    merged.stats.push_operations += partial.stats.push_operations;
-    merged.stats.edge_pushes += partial.stats.edge_pushes;
-    merged.stats.iterations =
-        std::max(merged.stats.iterations, partial.stats.iterations);
-    merged.stats.random_walks += partial.stats.random_walks;
-    merged.stats.walk_steps += partial.stats.walk_steps;
-    // Partials ran concurrently: the logical latency is the slowest
-    // shard, while the summed operation counters above stay the true
-    // total cost of the fan-out.
-    merged.stats.seconds = std::max(merged.stats.seconds,
-                                    partial.stats.seconds);
-  }
-  return merged;
-}
-
-void ShardedPprServer::FinishScatter(MergeJob& job, const Status& triage,
-                                     Status status, PprResult result) {
-  const bool terminal_ok = status.ok();
-  const StatusCode terminal_code = status.code();
-  if (terminal_ok) {
-    result.shard = kShardMerged;
-    result.degraded = false;
-  }
-  internal::PublishToFuture(*job.state, std::move(status), std::move(result));
-  MutexLock lock(mu_);
-  // Logical fan-out taxonomy, mirroring the per-shard one: exactly one
-  // bucket per admitted fan-out, so
-  // fanned == merged + fan_failed + fan_shed + fan_cancelled once
-  // drained.
-  if (terminal_ok) {
-    merged_++;
-  } else if (terminal_code == StatusCode::kCancelled) {
-    fan_cancelled_++;
-  } else if (triage.code() == StatusCode::kDeadlineExceeded) {
-    fan_shed_++;
-  } else {
-    fan_failed_++;
-  }
-}
-
-ShardedPprServerStats ShardedPprServer::stats() const {
+ShardedPprServerStats ShardedPprServer::Snapshot() const {
   ShardedPprServerStats out;
   out.per_shard.reserve(shards_.size());
   for (const auto& shard : shards_) {
@@ -525,14 +260,7 @@ ShardedPprServerStats ShardedPprServer::stats() const {
     out.total.coalesced += s.coalesced;
     out.total.queue_depth += s.queue_depth;
   }
-  out.merge_queue_depth = merge_queue_.size();
   MutexLock lock(mu_);
-  out.fanned = fanned_;
-  out.merged = merged_;
-  out.fan_failed = fan_failed_;
-  out.fan_shed = fan_shed_;
-  out.fan_cancelled = fan_cancelled_;
-  out.fan_rejected = fan_rejected_;
   out.updates_applied = updates_applied_;
   out.cross_fragment_updates = cross_fragment_updates_;
   return out;

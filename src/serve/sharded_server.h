@@ -1,20 +1,16 @@
 #ifndef PPR_SERVE_SHARDED_SERVER_H_
 #define PPR_SERVE_SHARDED_SERVER_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "api/query.h"
-#include "api/solver.h"
 #include "graph/dynamic_graph.h"
 #include "graph/partition.h"
-#include "serve/bounded_queue.h"
 #include "serve/ppr_server.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -29,30 +25,6 @@ struct ShardedPprServerOptions {
   /// Node-ownership scheme (see graph/partition.h).
   PartitionScheme partition = PartitionScheme::kHash;
 
-  /// How whole-vector queries (target == kNoTarget) are executed.
-  enum class WholeVectorRouting {
-    /// Route to the owner shard of query.source, like single-pair
-    /// queries. The default: one shard does the work, routing is the
-    /// only overhead.
-    kOwner,
-    /// Fan the query to every shard and merge the score vectors on a
-    /// router merge thread (ghost-aware: each global node's score is
-    /// taken from its owner's partial). Exercises the full distributed
-    /// read path; results are bit-identical to kOwner (see
-    /// docs/serving.md, "Sharded serving").
-    kScatterGather,
-  };
-  WholeVectorRouting whole_vector = WholeVectorRouting::kOwner;
-
-  /// Router merge threads for the scatter-gather path (clamped >= 1;
-  /// unused — and not spawned — under kOwner routing).
-  unsigned mergers = 2;
-
-  /// Bounded queue of pending scatter-gather queries awaiting a merge
-  /// thread; a full queue rejects Submit with Unavailable, mirroring the
-  /// per-shard request queue.
-  size_t merge_queue_capacity = 256;
-
   /// Per-shard server template: workers, queue capacity, contexts, base
   /// seed, degraded policy, admission budget and coalescing all apply
   /// *within each shard*. shard_stamp is overwritten with the shard
@@ -64,22 +36,12 @@ struct ShardedPprServerOptions {
 ///
 /// `total` is the field-wise sum of one atomic Snapshot() per shard, so
 /// the per-shard taxonomy identity (submitted == completed + failed +
-/// shed + cancelled once drained) survives summation exactly. A
-/// scatter-gather query appears once per shard in `total` (it really did
-/// submit N shard queries); the logical view of the fan-out lives in the
-/// fan_* counters, which reconcile on their own axis:
-/// fanned == merged + fan_failed + fan_shed + fan_cancelled once drained.
+/// shed + cancelled once drained) survives summation exactly. Every
+/// query lives in exactly one shard, so `total.submitted` counts each
+/// accepted query once.
 struct ShardedPprServerStats {
   PprServerStats total;
   std::vector<PprServerStats> per_shard;
-
-  uint64_t fanned = 0;         ///< scatter queries admitted to the merge queue
-  uint64_t merged = 0;         ///< scatter queries completed OK
-  uint64_t fan_failed = 0;     ///< scatter queries that finished non-OK
-  uint64_t fan_shed = 0;       ///< deadline expired before fan-out (never ran)
-  uint64_t fan_cancelled = 0;  ///< Cancel()/shutdown, pre- or mid-fan
-  uint64_t fan_rejected = 0;   ///< merge queue full at submission
-  size_t merge_queue_depth = 0;
 
   uint64_t updates_applied = 0;  ///< logical ApplyUpdates batches
   /// Edge updates whose endpoints live on different shards (from
@@ -89,33 +51,38 @@ struct ShardedPprServerStats {
 };
 
 /// A sharded serving tier behind the exact PprServer surface: N
-/// in-process PprServer shards over a GraphPartition, plus routing.
+/// in-process PprServer shards over a GraphPartition, plus owner
+/// routing.
 ///
 ///   ShardedPprServer server({.shards = 4});
-///   server.AddSolver("fwdpush", graph);   // prepares one replica per shard
+///   server.AddSolver("dynfwdpush", graph);  // one replica per shard
 ///   server.Start();
-///   auto ticket = server.Submit(query);   // routed to owner(query.source)
+///   auto ticket = server.Submit(query);     // routed to owner(query.source)
 ///   server.Stop();
 ///
 /// Execution model: each shard hosts its own Prepare()d replica of every
-/// solver; the partition governs routing, score merging, and update
-/// accounting. This is the honest single-process harness for the
-/// distributed design — a transport later replaces replicas with
-/// fragment-local state behind the same routing seams (see ROADMAP).
+/// solver, and a query runs whole on the shard that owns its source.
+/// The partition governs routing and update accounting only. What the
+/// replicas buy is one solver lock per shard: a solver whose Solve
+/// serializes on a per-solver mutex (dynfwdpush's tracker pool) answers
+/// N queries at once across N shards, where one PprServer answers one
+/// at a time whatever its worker count. For solvers without such a
+/// lock, one PprServer with shards x workers workers does the same work
+/// with a single replica — bench_shard's `single` rows measure both.
 ///
 /// Determinism: a query with an explicit seed returns a result
 /// bit-identical to a single unsharded server (and hence to a serial
-/// Solve) — owner routing forwards (query, spec, seed) verbatim, and a
-/// scatter-gather merge reassembles the identical vector from per-owner
-/// slices. The sharded conformance suite asserts this for every registry
-/// solver at 1, 2 and 4 shards under both partitioners.
+/// Solve) — owner routing forwards (query, spec, seed) verbatim, and
+/// the router derives missing seeds with the single server's scheme.
+/// The sharded conformance suite asserts this for every registry solver
+/// at 1, 2 and 4 shards under every partitioner.
 ///
-/// Epoch contract: ApplyUpdates holds the router's per-spec barrier
-/// exclusively while applying the batch to every shard (each behind its
-/// own shard barrier), so every stamped PprResult::epoch is a batch
-/// boundary — no result ever observes a half-applied batch — and all
-/// partials of one merged result answered at one epoch. See
-/// docs/serving.md, "Sharded serving".
+/// Epoch contract: ApplyUpdates applies each batch to every shard, one
+/// shard after another, each behind that shard's own epoch barrier. A
+/// per-spec router mutex keeps concurrent ApplyUpdates calls from
+/// interleaving, so every shard applies the same batches in the same
+/// order and a stamped PprResult::epoch names the same graph version
+/// whichever shard answered. See docs/serving.md, "Sharded serving".
 class ShardedPprServer {
  public:
   explicit ShardedPprServer(ShardedPprServerOptions options = {});
@@ -130,26 +97,24 @@ class ShardedPprServer {
   Status AddSolver(std::string_view spec, const Graph& graph)
       PPR_EXCLUDES(mu_);
 
-  /// Starts every shard, then the merge threads. Requires >= 1 solver.
+  /// Starts every shard. Requires >= 1 solver.
   Status Start() PPR_EXCLUDES(mu_);
 
-  /// Unbounded drain: merge threads finish every admitted fan-out, then
-  /// the shards drain their queues. Idempotent; the destructor calls it.
+  /// Unbounded drain: every shard finishes its accepted queries.
+  /// Idempotent; the destructor calls it.
   void Stop() PPR_EXCLUDES(mu_);
 
-  /// Bounded drain: pending fan-outs and shard queries that outlive the
-  /// budget are hard-stopped and complete with Cancelled — every
-  /// accepted future is done when this returns.
+  /// Bounded drain: every shard gets the same absolute deadline, now +
+  /// `drain_budget`; shard queries that outlive it are hard-stopped and
+  /// complete with Cancelled — every accepted future is done when this
+  /// returns.
   void Stop(std::chrono::nanoseconds drain_budget) PPR_EXCLUDES(mu_);
 
   bool running() const PPR_EXCLUDES(mu_);
 
-  /// Non-blocking submission, same semantics as PprServer::Submit.
-  /// Single-pair queries and (under kOwner routing) whole-vector queries
-  /// go to the owner shard of query.source; under kScatterGather,
-  /// whole-vector queries are fanned and merged. `seed` 0 derives a
-  /// per-query stream at the router so a fan-out uses one seed on every
-  /// shard.
+  /// Non-blocking submission, same semantics as PprServer::Submit: the
+  /// query goes to the owner shard of query.source. `seed` 0 derives a
+  /// per-query stream at the router, exactly as one server would.
   Result<PprFuture> Submit(const PprQuery& query, std::string_view solver = {},
                            uint64_t seed = 0) PPR_EXCLUDES(mu_);
 
@@ -161,24 +126,22 @@ class ShardedPprServer {
                     std::string_view solver = {}, uint64_t seed = 0)
       PPR_EXCLUDES(mu_);
 
-  /// Applies `batch` to every shard's replica of the routed solver
-  /// behind the router's exclusive per-spec barrier (the cross-shard
-  /// epoch barrier): in-flight fan-outs finish first, then each shard
-  /// applies the full batch behind its own barrier, and the shards'
-  /// resulting epochs are verified equal. SplitBatch accounting
-  /// (per-fragment slices, cross-fragment count) feeds stats().
-  /// Returns the common new epoch. `stats` receives the summed
-  /// UpdateStats. Updates to a sharded tier must go through this —
-  /// bypassing the router (shard(i).ApplyUpdates) desynchronizes the
-  /// replicas.
+  /// Applies `batch` to every shard's replica of the routed solver, in
+  /// shard order, under the spec's router mutex; the shards' resulting
+  /// epochs are verified equal. SplitBatch accounting (cross-fragment
+  /// count) feeds Snapshot(). Returns the common new epoch. `stats`
+  /// receives the summed UpdateStats. Updates to a sharded tier must go
+  /// through this — bypassing the router (shard(i).ApplyUpdates)
+  /// desynchronizes the replicas, and the next router batch reports
+  /// Corruption.
   Result<uint64_t> ApplyUpdates(const UpdateBatch& batch,
                                 std::string_view solver = {},
                                 UpdateStats* stats = nullptr)
       PPR_EXCLUDES(mu_);
 
   /// Aggregated counters: one atomic Snapshot per shard plus the
-  /// router's fan/update counters, all under one router lock hold.
-  ShardedPprServerStats stats() const PPR_EXCLUDES(mu_);
+  /// router's update counters.
+  ShardedPprServerStats Snapshot() const PPR_EXCLUDES(mu_);
 
   std::vector<std::string> solver_names() const PPR_EXCLUDES(mu_);
   const ShardedPprServerOptions& options() const { return options_; }
@@ -194,39 +157,17 @@ class ShardedPprServer {
   const GraphPartition& partition() const;
 
  private:
-  /// Router-side view of one hosted spec: capabilities for routing
-  /// decisions plus the cross-shard epoch barrier. Immutable once
-  /// Start() spawned the merge threads (AddSolver fails after Start),
-  /// so merge threads read entries without mu_.
   struct HostedSpec {
     std::string name;
-    SolverCapabilities caps;
-    /// Fan-outs hold it shared around submit+wait+merge; ApplyUpdates
-    /// holds it exclusive while walking the shards. Heap-allocated so
+    /// Held by ApplyUpdates while it walks the shards, so two batches
+    /// for one spec never interleave across shards. Heap-allocated so
     /// the address survives vector growth.
-    std::unique_ptr<SharedMutex> barrier;
-  };
-
-  /// One admitted scatter-gather query awaiting a merge thread.
-  struct MergeJob {
-    PprQuery query;
-    const HostedSpec* spec = nullptr;
-    uint64_t seed = 0;
-    std::shared_ptr<PprFuture::State> state;
+    std::unique_ptr<Mutex> update_order;
   };
 
   const HostedSpec* FindSpec(std::string_view name) const PPR_REQUIRES(mu_);
   Result<PprFuture> Route(const PprQuery& query, std::string_view solver,
                           uint64_t seed, bool blocking) PPR_EXCLUDES(mu_);
-  Result<PprFuture> EnqueueScatter(const PprQuery& query,
-                                   const HostedSpec& spec, uint64_t seed,
-                                   bool blocking) PPR_EXCLUDES(mu_);
-  void MergerLoop() PPR_EXCLUDES(mu_);
-  void ServeScatter(MergeJob& job) PPR_EXCLUDES(mu_);
-  void FinishScatter(MergeJob& job, const Status& triage, Status status,
-                     PprResult result) PPR_EXCLUDES(mu_);
-  PprResult MergePartials(const PprQuery& query,
-                          std::vector<PprResult>& partials) const;
   void StopInternal(bool bounded, std::chrono::nanoseconds drain_budget)
       PPR_EXCLUDES(mu_);
 
@@ -234,16 +175,9 @@ class ShardedPprServer {
   /// The shards. Sized in the constructor and never resized; PprServer
   /// is internally synchronized, so calls go through without mu_.
   std::vector<std::unique_ptr<PprServer>> shards_;
-  BoundedQueue<MergeJob> merge_queue_;
-  /// Set by a bounded-drain Stop: chained into every scatter query's
-  /// token so pending fan-outs cancel at their next poll.
-  const std::shared_ptr<std::atomic<bool>> hard_stop_;
-  /// Joined by the one Stop() that wins the stopped_ race — outside mu_
-  /// for the same reason as PprServer::workers_.
-  std::vector<std::thread> mergers_;
-  /// Built by the first AddSolver under mu_, immutable after Start();
-  /// merge threads read it lock-free (the Start() spawn is the
-  /// happens-before edge).
+  /// Built by the first AddSolver under mu_ and never changed after.
+  /// Readers first see a hosted spec (or started_) under mu_, which
+  /// orders them after the build.
   std::unique_ptr<GraphPartition> partition_;
 
   mutable Mutex mu_;
@@ -252,12 +186,6 @@ class ShardedPprServer {
   bool started_ PPR_GUARDED_BY(mu_) = false;
   bool stopped_ PPR_GUARDED_BY(mu_) = false;
   uint64_t next_submission_ PPR_GUARDED_BY(mu_) = 0;
-  uint64_t fanned_ PPR_GUARDED_BY(mu_) = 0;
-  uint64_t merged_ PPR_GUARDED_BY(mu_) = 0;
-  uint64_t fan_failed_ PPR_GUARDED_BY(mu_) = 0;
-  uint64_t fan_shed_ PPR_GUARDED_BY(mu_) = 0;
-  uint64_t fan_cancelled_ PPR_GUARDED_BY(mu_) = 0;
-  uint64_t fan_rejected_ PPR_GUARDED_BY(mu_) = 0;
   uint64_t updates_applied_ PPR_GUARDED_BY(mu_) = 0;
   uint64_t cross_fragment_updates_ PPR_GUARDED_BY(mu_) = 0;
 };

@@ -164,7 +164,7 @@ TEST(PprServerChaosTest, SubmitFaultPointSurfacesInjectedError) {
   auto refused = server.Submit({});
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kIOError);
-  EXPECT_EQ(server.stats().submitted, 0u) << "refused before admission";
+  EXPECT_EQ(server.Snapshot().submitted, 0u) << "refused before admission";
 
   FaultInjector::Global().ClearFault("serve.queue.push");
   auto accepted = server.Submit({});
@@ -213,7 +213,7 @@ TEST(PprServerChaosTest, ApplyUpdatesFaultPointSurfacesAndAppliesNothing) {
   auto faulted = server.ApplyUpdates(batch);
   ASSERT_FALSE(faulted.ok());
   EXPECT_EQ(faulted.status().code(), StatusCode::kIOError);
-  EXPECT_EQ(server.stats().updates, 0u);
+  EXPECT_EQ(server.Snapshot().updates, 0u);
 
   auto applied = server.ApplyUpdates(batch);
   ASSERT_TRUE(applied.ok());
@@ -268,7 +268,7 @@ TEST(PprServerChaosTest, CancelStopsComputeWithinOnePollInterval) {
   // cancellation never actually interrupted the compute loop.
   EXPECT_LT(observed, std::chrono::seconds(2));
   server.Stop();
-  EXPECT_EQ(server.stats().cancelled, 1u);
+  EXPECT_EQ(server.Snapshot().cancelled, 1u);
 }
 
 TEST(PprServerChaosTest, MidSolveDeadlineStopsComputeAndCountsAsFailed) {
@@ -326,7 +326,7 @@ TEST(PprServerChaosTest, BoundedDrainStopCancelsPendingWork) {
     ASSERT_TRUE(f.done()) << "bounded drain must complete every future";
     EXPECT_EQ(f.Get(nullptr).code(), StatusCode::kCancelled);
   }
-  const PprServerStats stats = server.stats();
+  const PprServerStats stats = server.Snapshot();
   EXPECT_EQ(stats.submitted, 3u);
   EXPECT_EQ(stats.cancelled, 3u);
   EXPECT_EQ(stats.completed + stats.failed + stats.shed + stats.cancelled,

@@ -439,8 +439,13 @@ TEST(RegistryParallelTest, RejectsAbsurdThreadCounts) {
 // cache_dir=
 // ---------------------------------------------------------------------
 
+/// A fresh cache directory private to the running test: ctest runs each
+/// TEST as its own process, possibly concurrently, so a shared directory
+/// would let one test's remove_all delete another's cache mid-run.
 std::string CacheDir() {
-  const std::string dir = ::testing::TempDir() + "/ppr_widx_cache";
+  const std::string dir =
+      ::testing::TempDir() + "/ppr_widx_cache_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;

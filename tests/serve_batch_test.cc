@@ -182,12 +182,12 @@ TEST(PprServerBatchTest, DefaultMaxBatchDisablesCoalescing) {
   server.Stop();
 
   EXPECT_TRUE(plug->fused_sizes().empty());
-  EXPECT_EQ(server.stats().coalesced, 0u);
+  EXPECT_EQ(server.Snapshot().coalesced, 0u);
 }
 
 // A coalesced query whose deadline expired in-queue is shed exactly as
 // on the one-query path: triaged out of the block before any compute,
-// counted in stats().shed, future fails with DeadlineExceeded.
+// counted in Snapshot().shed, future fails with DeadlineExceeded.
 TEST(PprServerBatchTest, ExpiredCoalescedQueriesAreShed) {
   const Graph graph = TestGraph();
   auto gate = std::make_unique<GateBatchSolver>(/*max_fused=*/8);

@@ -242,7 +242,7 @@ TEST(PprServerTest, FullQueueRejectsWithUnavailableAndNeverBlocks) {
   auto refused = server.Submit({});
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(server.stats().rejected, 1u);
+  EXPECT_EQ(server.Snapshot().rejected, 1u);
 
   // Nothing was silently dropped: every accepted query completes.
   gate_ptr->Open();
@@ -251,7 +251,7 @@ TEST(PprServerTest, FullQueueRejectsWithUnavailableAndNeverBlocks) {
     EXPECT_TRUE(f->Get(&result).ok());
   }
   server.Stop();
-  EXPECT_EQ(server.stats().completed, 3u);
+  EXPECT_EQ(server.Snapshot().completed, 3u);
 }
 
 TEST(PprServerTest, SolveBatchBacksOffUnderBackpressureAndCountsOnce) {
@@ -259,7 +259,7 @@ TEST(PprServerTest, SolveBatchBacksOffUnderBackpressureAndCountsOnce) {
   // resubmitting: blocked submissions wait out the bounded exponential
   // backoff and are admitted once the worker drains, and every
   // submission that found the queue full counts exactly once in
-  // stats().rejected — never once per backoff round (the hold below
+  // Snapshot().rejected — never once per backoff round (the hold below
   // deliberately spans many rounds).
   const Graph& graph = SharedFixtures().general;
   auto gate = std::make_unique<GateSolver>();
@@ -284,7 +284,7 @@ TEST(PprServerTest, SolveBatchBacksOffUnderBackpressureAndCountsOnce) {
   // query 2 is now backing off; hold the gate long enough for many
   // backoff rounds (the cap is 8ms, so 40ms spans several).
   gate_ptr->AwaitEntered(1);
-  while (server.stats().queue_depth < 1) std::this_thread::yield();
+  while (server.Snapshot().queue_depth < 1) std::this_thread::yield();
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
 
   gate_ptr->Open();
@@ -299,7 +299,7 @@ TEST(PprServerTest, SolveBatchBacksOffUnderBackpressureAndCountsOnce) {
   EXPECT_GE(stats.rejected, 1u);
   EXPECT_LE(stats.rejected, queries.size() - 1);
   server.Stop();
-  EXPECT_EQ(server.stats().completed, queries.size());
+  EXPECT_EQ(server.Snapshot().completed, queries.size());
 }
 
 TEST(PprServerTest, StopCompletesInFlightAndQueuedQueries) {
@@ -332,7 +332,7 @@ TEST(PprServerTest, StopCompletesInFlightAndQueuedQueries) {
     PprResult result;
     EXPECT_TRUE(f.Get(&result).ok());
   }
-  EXPECT_EQ(server.stats().completed, 6u);
+  EXPECT_EQ(server.Snapshot().completed, 6u);
 
   // The server refuses new work after Stop.
   auto late = server.Submit({});
@@ -405,7 +405,7 @@ TEST(PprServerTest, SoakMixedSolversUnderManyClients) {
   server.Stop();
 
   EXPECT_EQ(ok_count.load(), kClients * kEach);
-  const PprServerStats stats = server.stats();
+  const PprServerStats stats = server.Snapshot();
   EXPECT_EQ(stats.submitted, kClients * kEach);
   EXPECT_EQ(stats.completed, kClients * kEach);
   EXPECT_EQ(stats.failed, 0u);
@@ -483,7 +483,7 @@ TEST(PprServerTest, LifecycleAndRoutingErrors) {
             StatusCode::kInvalidArgument);
   server.Stop();
   EXPECT_FALSE(server.running());
-  EXPECT_EQ(server.stats().failed, 1u);
+  EXPECT_EQ(server.Snapshot().failed, 1u);
 
   // Stop is idempotent.
   server.Stop();
@@ -547,7 +547,7 @@ TEST(PprServerTest, ExpiredDeadlineInQueueIsShedNeverSolved) {
   EXPECT_TRUE(inflight.value().Get(&result).ok());
   server.Stop();
 
-  const PprServerStats stats = server.stats();
+  const PprServerStats stats = server.Snapshot();
   EXPECT_EQ(stats.submitted, 4u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.shed, 3u);
@@ -647,7 +647,7 @@ TEST(PprServerTest, SolveBatchAdmissionBoundedByBudget) {
 
   EXPECT_EQ(batch_status.code(), StatusCode::kDeadlineExceeded);
   server.Stop();
-  const PprServerStats stats = server.stats();
+  const PprServerStats stats = server.Snapshot();
   EXPECT_EQ(stats.submitted, 2u);
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_GE(stats.rejected, 1u);
@@ -741,7 +741,7 @@ TEST(PprServerDynamicTest, ApplyUpdatesRoutesAndValidates) {
   auto invalid = server.ApplyUpdates(bad, "dynfwdpush:rmax=1e-8");
   ASSERT_FALSE(invalid.ok());
   EXPECT_EQ(invalid.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(server.stats().updates, 0u);
+  EXPECT_EQ(server.Snapshot().updates, 0u);
 
   // Updates are accepted before Start() (priming a graph) and while
   // running; the returned epoch counts mutations.
@@ -755,7 +755,7 @@ TEST(PprServerDynamicTest, ApplyUpdatesRoutesAndValidates) {
   ASSERT_TRUE(running.ok());
   EXPECT_EQ(running.value(), 2u);
   EXPECT_EQ(stats.epoch, 2u);
-  EXPECT_EQ(server.stats().updates, 2u);
+  EXPECT_EQ(server.Snapshot().updates, 2u);
   server.Stop();
 }
 

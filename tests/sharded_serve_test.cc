@@ -4,11 +4,10 @@
 // query submitted with a seed to a ShardedPprServer comes back
 // bit-identical to the same (query, spec, seed) on an unsharded
 // PprServer — and hence to a serial Solver::Solve — regardless of
-// shard count, partitioner, or whole-vector routing mode. On top of
-// that: the cross-shard epoch contract under concurrent updates, the
-// two reconciling counter taxonomies (summed per-shard and logical
-// fan-out) under a chaos/deadline soak, and the surface contracts
-// (routing stamps, degraded/coalescing pass-through, bounded drain,
+// shard count or partitioner. On top of that: the cross-shard epoch
+// contract under concurrent updates, the per-shard and summed counter
+// taxonomy under a chaos/deadline soak, and the surface contracts
+// (owner stamps, degraded/coalescing pass-through, bounded drain,
 // lifecycle errors).
 //
 // Suite names deliberately start with Sharded so scripts/check.sh runs
@@ -38,8 +37,6 @@
 
 namespace ppr {
 namespace {
-
-using Routing = ShardedPprServerOptions::WholeVectorRouting;
 
 constexpr uint64_t kSeedBase = 0x5a2de20260809ULL;
 
@@ -75,25 +72,21 @@ uint64_t QuerySeed(unsigned config, unsigned index) {
 struct ShardConfig {
   size_t shards;
   PartitionScheme scheme;
-  Routing routing;
 };
 
-/// Shard counts {1, 2, 4} x every partitioner x both whole-vector
-/// routing modes — the acceptance matrix of the sharded tier.
+/// Shard counts {1, 2, 4} x every partitioner — the acceptance matrix
+/// of the sharded tier.
 constexpr ShardConfig kShardConfigs[] = {
-    {1, PartitionScheme::kHash, Routing::kScatterGather},
-    {2, PartitionScheme::kHash, Routing::kOwner},
-    {2, PartitionScheme::kHash, Routing::kScatterGather},
-    {2, PartitionScheme::kRange, Routing::kScatterGather},
-    {2, PartitionScheme::kDegree, Routing::kOwner},
-    {4, PartitionScheme::kRange, Routing::kOwner},
-    {4, PartitionScheme::kHash, Routing::kScatterGather},
+    {1, PartitionScheme::kHash},   {1, PartitionScheme::kRange},
+    {1, PartitionScheme::kDegree}, {2, PartitionScheme::kHash},
+    {2, PartitionScheme::kRange},  {2, PartitionScheme::kDegree},
+    {4, PartitionScheme::kHash},   {4, PartitionScheme::kRange},
+    {4, PartitionScheme::kDegree},
 };
 
 std::string ConfigName(const ShardConfig& config) {
   return "shards=" + std::to_string(config.shards) + " partition=" +
-         std::string(PartitionSchemeName(config.scheme)) +
-         (config.routing == Routing::kScatterGather ? " scatter" : " owner");
+         std::string(PartitionSchemeName(config.scheme));
 }
 
 // ---------------------------------------------------------------------
@@ -116,8 +109,6 @@ TEST(ShardedConformanceTest, BitIdenticalToSingleServerForEverySolver) {
       ShardedPprServerOptions options;
       options.shards = config.shards;
       options.partition = config.scheme;
-      options.whole_vector = config.routing;
-      options.mergers = 2;
       options.shard.workers = 2;
       options.shard.contexts = 1;  // forced recycling within each shard
       ShardedPprServer server(options);
@@ -165,25 +156,16 @@ TEST(ShardedConformanceTest, BitIdenticalToSingleServerForEverySolver) {
         EXPECT_EQ(served.solver, expected.solver);
         EXPECT_EQ(served.l1_bound, expected.l1_bound);
         // The routing decision is observable on the result.
-        const bool scattered = config.routing == Routing::kScatterGather;
-        EXPECT_EQ(served.shard,
-                  scattered ? kShardMerged
-                            : static_cast<int32_t>(
-                                  server.partition().FragmentOf(query.source)));
+        const size_t owner = server.partition().FragmentOf(query.source);
+        EXPECT_EQ(served.shard, static_cast<int32_t>(owner));
       }
 
       server.Stop();
-      const ShardedPprServerStats stats = server.stats();
-      const bool scattered = config.routing == Routing::kScatterGather;
-      EXPECT_EQ(stats.total.submitted,
-                scattered ? kQueries * config.shards : kQueries);
+      const ShardedPprServerStats stats = server.Snapshot();
+      EXPECT_EQ(stats.total.submitted, kQueries);
       EXPECT_EQ(stats.total.completed, stats.total.submitted);
       EXPECT_EQ(stats.total.failed, 0u);
       EXPECT_EQ(stats.total.rejected, 0u);
-      EXPECT_EQ(stats.fanned, scattered ? kQueries : 0u);
-      EXPECT_EQ(stats.merged, stats.fanned);
-      EXPECT_EQ(stats.fan_failed, 0u);
-      EXPECT_EQ(stats.fan_rejected, 0u);
     }
   }
 }
@@ -205,24 +187,21 @@ TEST(ShardedBatchTest, SolveBatchMatchesSingleServerBitForBit) {
     ASSERT_TRUE(server.SolveBatch(queries, &reference, {}, /*seed=*/77).ok());
   }
 
-  for (Routing routing : {Routing::kOwner, Routing::kScatterGather}) {
-    ShardedPprServerOptions options;
-    options.shards = 2;
-    options.whole_vector = routing;
-    options.shard.workers = 2;
-    ShardedPprServer server(options);
-    ASSERT_TRUE(server.AddSolver("mc", graph).ok());
-    ASSERT_TRUE(server.Start().ok());
-    std::vector<PprResult> rows;
-    Status status = server.SolveBatch(queries, &rows, {}, /*seed=*/77);
-    ASSERT_TRUE(status.ok()) << status.ToString();
-    ASSERT_EQ(rows.size(), reference.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      ASSERT_EQ(rows[i].scores.size(), reference[i].scores.size());
-      for (size_t v = 0; v < rows[i].scores.size(); ++v) {
-        ASSERT_EQ(rows[i].scores[v], reference[i].scores[v])
-            << "i=" << i << " v=" << v;
-      }
+  ShardedPprServerOptions options;
+  options.shards = 2;
+  options.shard.workers = 2;
+  ShardedPprServer server(options);
+  ASSERT_TRUE(server.AddSolver("mc", graph).ok());
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<PprResult> rows;
+  Status status = server.SolveBatch(queries, &rows, {}, /*seed=*/77);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(rows.size(), reference.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(rows[i].scores.size(), reference[i].scores.size());
+    for (size_t v = 0; v < rows[i].scores.size(); ++v) {
+      ASSERT_EQ(rows[i].scores[v], reference[i].scores[v])
+          << "i=" << i << " v=" << v;
     }
   }
 }
@@ -259,14 +238,13 @@ TEST(ShardedRoutingTest, OwnerStampsMatchPartitionAndPerShardAccounting) {
   }
   server.Stop();
 
-  const ShardedPprServerStats stats = server.stats();
+  const ShardedPprServerStats stats = server.Snapshot();
   ASSERT_EQ(stats.per_shard.size(), 4u);
   for (size_t s = 0; s < 4; ++s) {
     EXPECT_EQ(stats.per_shard[s].submitted, expected_per_shard[s]) << s;
     EXPECT_EQ(stats.per_shard[s].completed, expected_per_shard[s]) << s;
   }
   EXPECT_EQ(stats.total.submitted, kQueries);
-  EXPECT_EQ(stats.fanned, 0u) << "owner routing never fans";
 }
 
 TEST(ShardedRoutingTest, DegradedPolicyFlowsThroughOwnerShards) {
@@ -300,7 +278,7 @@ TEST(ShardedRoutingTest, DegradedPolicyFlowsThroughOwnerShards) {
   EXPECT_EQ(result.solver, "fwdpush");
 
   server.Stop();
-  const ShardedPprServerStats stats = server.stats();
+  const ShardedPprServerStats stats = server.Snapshot();
   EXPECT_EQ(stats.total.degraded, 1u);
   EXPECT_EQ(stats.total.completed, 2u);
 }
@@ -345,7 +323,7 @@ TEST(ShardedRoutingTest, CoalescingFlowsThroughOwnerShards) {
   }
   server.Stop();
 
-  const ShardedPprServerStats stats = server.stats();
+  const ShardedPprServerStats stats = server.Snapshot();
   EXPECT_EQ(stats.total.completed, kQueries);
   EXPECT_GE(stats.total.coalesced, 2u) << "no fusion happened on the shard";
   EXPECT_LE(stats.total.coalesced, kQueries);
@@ -382,7 +360,7 @@ TEST(ShardedUpdateTest, CrossFragmentAccountingMatchesSplitBatch) {
   EXPECT_EQ(stats.epoch, applied.value());
 
   server.Stop();
-  const ShardedPprServerStats after = server.stats();
+  const ShardedPprServerStats after = server.Snapshot();
   EXPECT_EQ(after.updates_applied, 1u);
   EXPECT_EQ(after.cross_fragment_updates, split.cross_fragment);
   // Every replica applied the batch: the summed per-shard counter sees
@@ -417,21 +395,28 @@ TEST(ShardedUpdateTest, BypassingTheRouterIsDetectedAsDivergence) {
 }
 
 // ---------------------------------------------------------------------
-// Epoch consistency under concurrent updates, both routing modes
+// Epoch consistency under concurrent updates
 // ---------------------------------------------------------------------
 
 TEST(ShardedDynamicTest, EpochConsistentAcrossShardsUnderConcurrentUpdates) {
   // The sharded restatement of the single-server acceptance test: with
-  // clients streaming whole-vector queries while batches apply through
-  // the router, every served result stamps a batch-boundary epoch and
-  // matches that boundary snapshot's dense solution within its bound —
-  // owner-routed and scatter-merged alike. A merged result additionally
-  // proves the cross-shard barrier: its partials all answered at one
-  // epoch or the merge would have failed with Corruption.
-  constexpr NodeId kSource = 1;
+  // one client per shard streaming whole-vector queries while batches
+  // apply through the router, every served result stamps a
+  // batch-boundary epoch and matches that boundary snapshot's dense
+  // solution within its bound — on both replicas.
   constexpr size_t kBatches = 6;
   Rng rng(17);
   Graph graph = ErdosRenyi(40, 3.0, rng);
+
+  // Two sources owned by different shards of the 2-way hash partition
+  // the router builds, so both replicas serve while batches apply.
+  auto mirror = GraphPartition::Build(graph, 2, PartitionScheme::kHash);
+  ASSERT_TRUE(mirror.ok());
+  NodeId other = 0;
+  while (mirror.value().FragmentOf(other) == mirror.value().FragmentOf(1)) {
+    other++;
+  }
+  const NodeId sources[] = {1, other};
 
   UpdateWorkloadOptions workload;
   workload.count = 30;
@@ -445,240 +430,220 @@ TEST(ShardedDynamicTest, EpochConsistentAcrossShardsUnderConcurrentUpdates) {
         stream.updates.begin() + (b + 1) * stream.size() / kBatches);
   }
 
-  std::map<uint64_t, std::vector<double>> exact;
+  // exact[c][epoch]: the dense solution for client c's source.
+  std::vector<std::map<uint64_t, std::vector<double>>> exact(2);
   {
     DynamicGraph replay(graph);
-    exact[0] = ppr::testing::ExactPprDense(replay.Snapshot(), kSource, 0.2);
+    for (size_t c = 0; c < 2; ++c) {
+      exact[c][0] =
+          ppr::testing::ExactPprDense(replay.Snapshot(), sources[c], 0.2);
+    }
     for (const UpdateBatch& batch : batches) {
       ASSERT_TRUE(replay.Apply(batch).ok());
-      exact[replay.epoch()] =
-          ppr::testing::ExactPprDense(replay.Snapshot(), kSource, 0.2);
+      for (size_t c = 0; c < 2; ++c) {
+        exact[c][replay.epoch()] =
+            ppr::testing::ExactPprDense(replay.Snapshot(), sources[c], 0.2);
+      }
     }
   }
 
-  for (Routing routing : {Routing::kOwner, Routing::kScatterGather}) {
-    for (const char* spec : {"dynfwdpush:rmax=1e-9", "dynfora:eps=0.3",
-                             "dynspeedppr:eps=0.3"}) {
-      SCOPED_TRACE(std::string(spec) +
-                   (routing == Routing::kScatterGather ? " scatter"
-                                                       : " owner"));
-      ShardedPprServerOptions options;
-      options.shards = 2;
-      options.whole_vector = routing;
-      options.shard.workers = 2;
-      options.shard.contexts = 2;
-      ShardedPprServer server(options);
-      ASSERT_TRUE(server.AddSolver(spec, graph).ok());
-      ASSERT_TRUE(server.Start().ok());
+  for (const char* spec : {"dynfwdpush:rmax=1e-9", "dynfora:eps=0.3",
+                           "dynspeedppr:eps=0.3"}) {
+    SCOPED_TRACE(spec);
+    ShardedPprServerOptions options;
+    options.shards = 2;
+    options.shard.workers = 2;
+    options.shard.contexts = 2;
+    ShardedPprServer server(options);
+    ASSERT_TRUE(server.AddSolver(spec, graph).ok());
+    ASSERT_TRUE(server.Start().ok());
 
-      std::atomic<bool> done{false};
-      std::vector<std::vector<PprFuture>> futures(2);
-      std::vector<std::thread> clients;
-      for (size_t c = 0; c < futures.size(); ++c) {
-        clients.emplace_back([&, c] {
-          PprQuery query;
-          query.source = kSource;
-          while (!done.load(std::memory_order_relaxed)) {
-            auto submitted = server.Submit(query, spec);
-            if (submitted.ok()) {
-              futures[c].push_back(std::move(submitted).ValueOrDie());
-            }
-            std::this_thread::yield();
+    std::atomic<bool> done{false};
+    std::vector<std::vector<PprFuture>> futures(2);
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < futures.size(); ++c) {
+      clients.emplace_back([&, c] {
+        PprQuery query;
+        query.source = sources[c];
+        while (!done.load(std::memory_order_relaxed)) {
+          auto submitted = server.Submit(query, spec);
+          if (submitted.ok()) {
+            futures[c].push_back(std::move(submitted).ValueOrDie());
           }
-        });
-      }
-
-      uint64_t final_epoch = 0;
-      for (const UpdateBatch& batch : batches) {
-        auto applied = server.ApplyUpdates(batch, spec);
-        ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-        final_epoch = applied.value();
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-      done.store(true);
-      for (std::thread& t : clients) t.join();
-      server.Stop();
-      EXPECT_EQ(final_epoch, stream.size());
-
-      size_t checked = 0;
-      for (const auto& client_futures : futures) {
-        for (const PprFuture& future : client_futures) {
-          PprResult result;
-          Status status = future.Get(&result);
-          if (!status.ok()) continue;  // shutdown race rejections only
-          if (routing == Routing::kScatterGather) {
-            ASSERT_EQ(result.shard, kShardMerged);
-          }
-          auto it = exact.find(result.epoch);
-          ASSERT_NE(it, exact.end())
-              << "result stamped epoch " << result.epoch
-              << ", which is not a batch boundary — a torn update leaked";
-          ASSERT_LT(L1Distance(result.scores, it->second),
-                    result.l1_bound + 1e-11)
-              << "epoch " << result.epoch;
-          checked++;
+          std::this_thread::yield();
         }
+      });
+    }
+
+    uint64_t final_epoch = 0;
+    for (const UpdateBatch& batch : batches) {
+      auto applied = server.ApplyUpdates(batch, spec);
+      ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+      final_epoch = applied.value();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    done.store(true);
+    for (std::thread& t : clients) t.join();
+    server.Stop();
+    EXPECT_EQ(final_epoch, stream.size());
+
+    for (size_t c = 0; c < futures.size(); ++c) {
+      size_t checked = 0;
+      for (const PprFuture& future : futures[c]) {
+        PprResult result;
+        Status status = future.Get(&result);
+        if (!status.ok()) continue;  // shutdown race rejections only
+        ASSERT_EQ(result.shard, static_cast<int32_t>(
+                                    server.partition().FragmentOf(sources[c])));
+        auto it = exact[c].find(result.epoch);
+        ASSERT_NE(it, exact[c].end())
+            << "result stamped epoch " << result.epoch
+            << ", which is not a batch boundary — a torn update leaked";
+        ASSERT_LT(L1Distance(result.scores, it->second),
+                  result.l1_bound + 1e-11)
+            << "source " << sources[c] << " epoch " << result.epoch;
+        checked++;
       }
-      EXPECT_GT(checked, 0u);
+      EXPECT_GT(checked, 0u) << "source " << sources[c];
     }
   }
 }
 
 // ---------------------------------------------------------------------
-// Chaos/deadline soak: both taxonomies reconcile exactly
+// Chaos/deadline soak: the counter taxonomy reconciles exactly
 // ---------------------------------------------------------------------
 
-TEST(ShardedChaosTest, SoakReconcilesBothTaxonomiesUnderFaultsAndDeadlines) {
+TEST(ShardedChaosTest, SoakReconcilesUnderFaultsAndDeadlines) {
   // The sharded acceptance invariant: after a soak of submissions,
   // deadlines, cancellations, updates, and (when compiled in) injected
-  // faults, the *summed* per-shard taxonomy and the *logical* fan-out
-  // taxonomy both reconcile exactly — no query is double-counted or
-  // lost between the router and the shards.
+  // faults, the taxonomy reconciles exactly per shard and summed — no
+  // query is double-counted or lost between the router and the shards.
   Rng graph_rng(21);
   Graph graph = ErdosRenyi(60, 3.0, graph_rng);
 
-  for (Routing routing : {Routing::kOwner, Routing::kScatterGather}) {
-    SCOPED_TRACE(routing == Routing::kScatterGather ? "scatter" : "owner");
 #if PPR_FAULT_INJECTION
-    ScopedFaultInjection chaos(0x5AADC4A05ULL);
-    {
-      FaultSpec flaky;
-      flaky.probability = 0.2;
-      flaky.error = StatusCode::kUnavailable;
-      flaky.delay = std::chrono::microseconds(300);
-      FaultInjector::Global().SetFault("solver.solve", flaky);
-      FaultSpec slow_pop;
-      slow_pop.probability = 0.5;
-      slow_pop.delay = std::chrono::microseconds(200);
-      FaultInjector::Global().SetFault("serve.queue.pop", slow_pop);
-    }
+  ScopedFaultInjection chaos(0x5AADC4A05ULL);
+  {
+    FaultSpec flaky;
+    flaky.probability = 0.2;
+    flaky.error = StatusCode::kUnavailable;
+    flaky.delay = std::chrono::microseconds(300);
+    FaultInjector::Global().SetFault("solver.solve", flaky);
+    FaultSpec slow_pop;
+    slow_pop.probability = 0.5;
+    slow_pop.delay = std::chrono::microseconds(200);
+    FaultInjector::Global().SetFault("serve.queue.pop", slow_pop);
+  }
 #endif  // PPR_FAULT_INJECTION
 
-    ShardedPprServerOptions options;
-    options.shards = 2;
-    options.whole_vector = routing;
-    options.mergers = 2;
-    options.merge_queue_capacity = 32;
-    options.shard.workers = 2;
-    options.shard.contexts = 2;
-    options.shard.queue_capacity = 64;
-    ShardedPprServer server(options);
-    ASSERT_TRUE(server.AddSolver("mc:eps=0.7", graph).ok());
-    ASSERT_TRUE(server.AddSolver("dynfwdpush:rmax=1e-6", graph).ok());
-    ASSERT_TRUE(server.Start().ok());
+  ShardedPprServerOptions options;
+  options.shards = 2;
+  options.shard.workers = 2;
+  options.shard.contexts = 2;
+  options.shard.queue_capacity = 64;
+  ShardedPprServer server(options);
+  ASSERT_TRUE(server.AddSolver("mc:eps=0.7", graph).ok());
+  ASSERT_TRUE(server.AddSolver("dynfwdpush:rmax=1e-6", graph).ok());
+  ASSERT_TRUE(server.Start().ok());
 
-    constexpr unsigned kClients = 4;
-    constexpr unsigned kEach = 30;
-    const std::chrono::nanoseconds kDeadlines[] = {
-        std::chrono::nanoseconds(0),     // none
-        std::chrono::milliseconds(50),   // generous
-        std::chrono::microseconds(200),  // likely to expire pre-solve
-    };
-    std::vector<std::vector<PprFuture>> futures(kClients);
-    std::atomic<unsigned> accepted{0};
-    std::vector<std::thread> clients;
-    clients.reserve(kClients);
-    for (unsigned c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        for (unsigned q = 0; q < kEach; ++q) {
-          PprQuery query;
-          const bool dynamic = (c + q) % 3 == 0;
-          query.source = (17 * c + q) % graph.num_nodes();
-          query.deadline = kDeadlines[(c + q) % 3];
-          auto submitted = server.Submit(
-              query, dynamic ? "dynfwdpush:rmax=1e-6" : "mc:eps=0.7");
-          if (!submitted.ok()) {
-            // Backpressure (shard queue or merge queue full): allowed,
-            // just not admitted.
-            EXPECT_EQ(submitted.status().code(), StatusCode::kUnavailable)
-                << submitted.status().ToString();
-            continue;
-          }
-          accepted.fetch_add(1, std::memory_order_relaxed);
-          futures[c].push_back(std::move(submitted).ValueOrDie());
-          if (q % 9 == 4) futures[c].back().Cancel();
-        }
-      });
-    }
-
-    std::atomic<unsigned> updates_ok{0};
-    std::thread updater([&] {
-      Rng update_rng(31);
-      for (int b = 0; b < 6; ++b) {
-        UpdateBatch batch;
-        batch.Insert(
-            static_cast<NodeId>(update_rng.NextBounded(graph.num_nodes())),
-            static_cast<NodeId>(update_rng.NextBounded(graph.num_nodes())));
-        auto applied = server.ApplyUpdates(batch, "dynfwdpush:rmax=1e-6");
-        if (applied.ok()) {
-          updates_ok.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          // Self-inserts are rejected as invalid — atomically, on every
-          // replica; anything else would be a real failure.
-          EXPECT_EQ(applied.status().code(), StatusCode::kInvalidArgument)
-              << applied.status().ToString();
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    });
-
-    for (std::thread& t : clients) t.join();
-    updater.join();
-    server.Stop(std::chrono::seconds(20));
-
-    for (unsigned c = 0; c < kClients; ++c) {
-      for (PprFuture& f : futures[c]) {
-        ASSERT_TRUE(f.done()) << "an accepted future never completed";
-      }
-    }
-
-    const ShardedPprServerStats stats = server.stats();
-    // Per-shard reconciliation survives summation exactly.
-    for (size_t s = 0; s < stats.per_shard.size(); ++s) {
-      const PprServerStats& shard = stats.per_shard[s];
-      EXPECT_EQ(shard.completed + shard.failed + shard.shed + shard.cancelled,
-                shard.submitted)
-          << "shard " << s;
-    }
-    EXPECT_EQ(stats.total.completed + stats.total.failed + stats.total.shed +
-                  stats.total.cancelled,
-              stats.total.submitted)
-        << "completed=" << stats.total.completed
-        << " failed=" << stats.total.failed << " shed=" << stats.total.shed
-        << " cancelled=" << stats.total.cancelled;
-    // The logical fan-out axis reconciles on its own.
-    EXPECT_EQ(stats.merged + stats.fan_failed + stats.fan_shed +
-                  stats.fan_cancelled,
-              stats.fanned)
-        << "merged=" << stats.merged << " fan_failed=" << stats.fan_failed
-        << " fan_shed=" << stats.fan_shed
-        << " fan_cancelled=" << stats.fan_cancelled;
-    if (routing == Routing::kScatterGather) {
-      // Every accepted query was a whole-vector fan-out.
-      EXPECT_EQ(stats.fanned, accepted.load());
-    } else {
-      EXPECT_EQ(stats.total.submitted, accepted.load());
-      EXPECT_EQ(stats.fanned, 0u);
-    }
-    EXPECT_EQ(stats.updates_applied, updates_ok.load());
-    EXPECT_EQ(stats.total.updates, updates_ok.load() * options.shards);
-
-    // Terminal statuses come from the closed expected set, and a
-    // success that carried a deadline beat it (up to the post-solve
-    // check → completion-stamp window).
-    for (unsigned c = 0; c < kClients; ++c) {
-      for (PprFuture& future : futures[c]) {
-        PprResult result;
-        const Status status = future.Get(&result);
-        if (status.ok()) {
-          EXPECT_EQ(result.scores.size(), graph.num_nodes());
+  constexpr unsigned kClients = 4;
+  constexpr unsigned kEach = 30;
+  const std::chrono::nanoseconds kDeadlines[] = {
+      std::chrono::nanoseconds(0),     // none
+      std::chrono::milliseconds(50),   // generous
+      std::chrono::microseconds(200),  // likely to expire pre-solve
+  };
+  std::vector<std::vector<PprFuture>> futures(kClients);
+  std::atomic<unsigned> accepted{0};
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (unsigned c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (unsigned q = 0; q < kEach; ++q) {
+        PprQuery query;
+        const bool dynamic = (c + q) % 3 == 0;
+        query.source = (17 * c + q) % graph.num_nodes();
+        query.deadline = kDeadlines[(c + q) % 3];
+        auto submitted = server.Submit(
+            query, dynamic ? "dynfwdpush:rmax=1e-6" : "mc:eps=0.7");
+        if (!submitted.ok()) {
+          // Backpressure (a full shard queue): allowed, just not
+          // admitted.
+          EXPECT_EQ(submitted.status().code(), StatusCode::kUnavailable)
+              << submitted.status().ToString();
           continue;
         }
-        EXPECT_TRUE(status.code() == StatusCode::kUnavailable ||       // fault
-                    status.code() == StatusCode::kDeadlineExceeded ||  // budget
-                    status.code() == StatusCode::kCancelled)  // Cancel()/drain
-            << status.ToString();
+        accepted.fetch_add(1, std::memory_order_relaxed);
+        futures[c].push_back(std::move(submitted).ValueOrDie());
+        if (q % 9 == 4) futures[c].back().Cancel();
       }
+    });
+  }
+
+  std::atomic<unsigned> updates_ok{0};
+  std::thread updater([&] {
+    Rng update_rng(31);
+    for (int b = 0; b < 6; ++b) {
+      UpdateBatch batch;
+      batch.Insert(
+          static_cast<NodeId>(update_rng.NextBounded(graph.num_nodes())),
+          static_cast<NodeId>(update_rng.NextBounded(graph.num_nodes())));
+      auto applied = server.ApplyUpdates(batch, "dynfwdpush:rmax=1e-6");
+      if (applied.ok()) {
+        updates_ok.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        // Self-inserts are rejected as invalid — atomically, on every
+        // replica; anything else would be a real failure.
+        EXPECT_EQ(applied.status().code(), StatusCode::kInvalidArgument)
+            << applied.status().ToString();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+
+  for (std::thread& t : clients) t.join();
+  updater.join();
+  server.Stop(std::chrono::seconds(20));
+
+  for (unsigned c = 0; c < kClients; ++c) {
+    for (PprFuture& f : futures[c]) {
+      ASSERT_TRUE(f.done()) << "an accepted future never completed";
+    }
+  }
+
+  const ShardedPprServerStats stats = server.Snapshot();
+  // Per-shard reconciliation survives summation exactly.
+  for (size_t s = 0; s < stats.per_shard.size(); ++s) {
+    const PprServerStats& shard = stats.per_shard[s];
+    EXPECT_EQ(shard.completed + shard.failed + shard.shed + shard.cancelled,
+              shard.submitted)
+        << "shard " << s;
+  }
+  EXPECT_EQ(stats.total.completed + stats.total.failed + stats.total.shed +
+                stats.total.cancelled,
+            stats.total.submitted)
+      << "completed=" << stats.total.completed
+      << " failed=" << stats.total.failed << " shed=" << stats.total.shed
+      << " cancelled=" << stats.total.cancelled;
+  EXPECT_EQ(stats.total.submitted, accepted.load());
+  EXPECT_EQ(stats.updates_applied, updates_ok.load());
+  EXPECT_EQ(stats.total.updates, updates_ok.load() * options.shards);
+
+  // Terminal statuses come from the closed expected set, and a
+  // success that carried a deadline beat it (up to the post-solve
+  // check → completion-stamp window).
+  for (unsigned c = 0; c < kClients; ++c) {
+    for (PprFuture& future : futures[c]) {
+      PprResult result;
+      const Status status = future.Get(&result);
+      if (status.ok()) {
+        EXPECT_EQ(result.scores.size(), graph.num_nodes());
+        continue;
+      }
+      EXPECT_TRUE(status.code() == StatusCode::kUnavailable ||       // fault
+                  status.code() == StatusCode::kDeadlineExceeded ||  // budget
+                  status.code() == StatusCode::kCancelled)  // Cancel()/drain
+          << status.ToString();
     }
   }
 }
@@ -731,12 +696,23 @@ TEST(ShardedLifecycleTest, SurfaceContracts) {
   server.Stop();  // idempotent
 }
 
-TEST(ShardedLifecycleTest, BoundedDrainCompletesEveryScatterFuture) {
+TEST(ShardedLifecycleTest, BoundedDrainCompletesEveryFuture) {
+#if !PPR_FAULT_INJECTION
+  GTEST_SKIP() << "built with -DPPR_FAULT_INJECTION=OFF";
+#else
+  // Every solve takes 20ms, so each shard's single worker still holds
+  // queued work when the 1ms budget runs out. Every shard drains against
+  // that one deadline: its leftovers complete with Cancelled, and no
+  // accepted future is left pending when Stop returns.
+  ScopedFaultInjection chaos(0x5AADD2A1ULL);
+  FaultSpec slow;
+  slow.probability = 1.0;
+  slow.delay = std::chrono::milliseconds(20);
+  FaultInjector::Global().SetFault("solver.solve", slow);
+
   const Graph& graph = SharedFixtures().general;
   ShardedPprServerOptions options;
   options.shards = 2;
-  options.whole_vector = Routing::kScatterGather;
-  options.mergers = 1;  // one merger: fan-outs genuinely queue up
   options.shard.workers = 1;
   ShardedPprServer server(options);
   ASSERT_TRUE(server.AddSolver("mc:eps=0.5", graph).ok());
@@ -754,21 +730,23 @@ TEST(ShardedLifecycleTest, BoundedDrainCompletesEveryScatterFuture) {
   server.Stop(std::chrono::milliseconds(1));
 
   for (PprFuture& future : futures) {
-    ASSERT_TRUE(future.done()) << "bounded drain abandoned a fan-out";
+    ASSERT_TRUE(future.done()) << "bounded drain abandoned a query";
     PprResult result;
     const Status status = future.Get(&result);
     EXPECT_TRUE(status.ok() || status.code() == StatusCode::kCancelled)
         << status.ToString();
   }
-  const ShardedPprServerStats stats = server.stats();
-  EXPECT_EQ(stats.fanned, kQueries);
-  EXPECT_EQ(stats.merged + stats.fan_failed + stats.fan_shed +
-                stats.fan_cancelled,
-            stats.fanned);
-  EXPECT_EQ(stats.total.completed + stats.total.failed + stats.total.shed +
-                stats.total.cancelled,
-            stats.total.submitted);
-  EXPECT_EQ(stats.merge_queue_depth, 0u);
+  const ShardedPprServerStats stats = server.Snapshot();
+  EXPECT_EQ(stats.total.submitted, kQueries);
+  for (size_t s = 0; s < stats.per_shard.size(); ++s) {
+    const PprServerStats& shard = stats.per_shard[s];
+    EXPECT_GT(shard.cancelled, 0u) << "shard " << s << " beat the deadline";
+    EXPECT_EQ(shard.completed + shard.failed + shard.shed + shard.cancelled,
+              shard.submitted)
+        << "shard " << s;
+    EXPECT_EQ(shard.queue_depth, 0u) << "shard " << s;
+  }
+#endif  // PPR_FAULT_INJECTION
 }
 
 }  // namespace
