@@ -1503,7 +1503,7 @@ Result<std::unique_ptr<Solver>> MakePowerPush(const SolverSpec& spec) {
   ParamDefaults params;
   double lambda = 0.0;  // unset → paper default min(1e-8, 1/m)
   int epochs = 8;  // 0 → single epoch at lambda (no-epochs ablation)
-  double scan_threshold = 0.25;
+  double scan_threshold = kScanThresholdFraction;
   bool queue_phase = true;
   CommonOptions common;
   OptionReader reader(spec);

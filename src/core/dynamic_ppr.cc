@@ -1,7 +1,9 @@
 #include "core/dynamic_ppr.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "core/power_push.h"
 #include "util/fifo_queue.h"
 
 namespace ppr {
@@ -24,35 +26,62 @@ bool DynamicSsppr::IsActive(NodeId v) const {
 
 uint64_t DynamicSsppr::PushLoop() {
   const double alpha = options_.alpha;
-  FifoQueue queue(graph_->num_nodes());
-  for (NodeId v = 0; v < graph_->num_nodes(); ++v) {
-    if (IsActive(v)) queue.PushIfAbsent(v);
-  }
-  uint64_t pushes = 0;
-  while (!queue.empty()) {
-    const NodeId v = queue.Pop();
+  const NodeId n = graph_->num_nodes();
+  // Pushes work symmetrically for negative residue (insertions shrink
+  // old neighbors' transition probability, deletions take the removed
+  // target's share away, so corrections can be negative): reserve
+  // decreases and negative mass propagates. `touched` sees every node
+  // whose residue changed.
+  const auto push = [&](NodeId v, auto&& touched) {
     const double r = estimate_.residue[v];
-    if (r == 0.0) continue;
-    // Pushes work symmetrically for negative residue (insertions shrink
-    // old neighbors' transition probability, deletions take the removed
-    // target's share away, so corrections can be negative): reserve
-    // decreases and negative mass propagates.
     estimate_.reserve[v] += alpha * r;
     estimate_.residue[v] = 0.0;
-    const double push = (1.0 - alpha) * r;
+    const double mass = (1.0 - alpha) * r;
     const NodeId d = graph_->OutDegree(v);
     if (d == 0) {
-      estimate_.residue[source_] += push;
-      if (IsActive(source_)) queue.PushIfAbsent(source_);
-    } else {
-      const double inc = push / d;
-      for (NodeId u : graph_->OutNeighbors(v)) {
-        estimate_.residue[u] += inc;
-        if (IsActive(u)) queue.PushIfAbsent(u);
-      }
+      estimate_.residue[source_] += mass;
+      touched(source_);
+      return;
     }
+    const double inc = mass / d;
+    for (NodeId u : graph_->OutNeighbors(v)) {
+      estimate_.residue[u] += inc;
+      touched(u);
+    }
+  };
+
+  // Local phase (Algorithm 3): FIFO pushes while the frontier is small,
+  // so a repair's cost stays proportional to what the update disturbed.
+  FifoQueue queue(n);
+  for (NodeId v = 0; v < n; ++v) {
+    if (IsActive(v)) queue.PushIfAbsent(v);
+  }
+  const size_t scan_threshold =
+      static_cast<size_t>(std::max(1.0, kScanThresholdFraction * n));
+  uint64_t pushes = 0;
+  while (!queue.empty() && queue.size() <= scan_threshold) {
+    const NodeId v = queue.Pop();
+    if (estimate_.residue[v] == 0.0) continue;
+    push(v, [&](NodeId u) {
+      if (IsActive(u)) queue.PushIfAbsent(u);
+    });
     pushes++;
   }
+  if (queue.empty()) return pushes;
+
+  // Global phase: the work has gone global, so sweep the nodes in id
+  // order and push every active one until a pass finds none — the same
+  // termination condition as the queue, hence the same bound.
+  uint64_t pass_pushes;
+  do {
+    pass_pushes = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      if (!IsActive(v)) continue;
+      push(v, [](NodeId) {});
+      pass_pushes++;
+    }
+    pushes += pass_pushes;
+  } while (pass_pushes != 0);
   return pushes;
 }
 

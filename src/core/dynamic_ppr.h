@@ -30,8 +30,17 @@ namespace ppr {
 /// directions residues may go *negative*, which the tracker and its
 /// error bound handle via |r|. Deleting a node's last edge turns its row
 /// into the dead-end row e_source, the exact mirror of a dead end
-/// gaining its first edge. Cost: O(d_u) per mutation plus local pushes,
-/// versus O(m log 1/λ) from scratch.
+/// gaining its first edge.
+///
+/// Refresh discipline — PowerPush's queue-to-scan switch (Algorithm 3):
+/// the FIFO is seeded with the active nodes and runs while it holds at
+/// most n/4 of them (kScanThresholdFraction), so a repair that stays
+/// local costs O(d_u) per mutation plus the pushes it triggers. Once the
+/// frontier outgrows n/4 (a cold build, or a batch whose disturbance
+/// went global), the loop sweeps v = 0..n−1 in id order, pushing every
+/// active node, until a pass pushes nothing. Both phases stop at the
+/// same condition — no node active — so the bound below is the same
+/// whichever ran.
 ///
 /// Error guarantee at any point: ‖π̂ − π‖₁ ≤ Σ_v |r(v)| ≤ (m+k)·r_max
 /// after Refresh() (k = dead ends), mirroring Equation (7).

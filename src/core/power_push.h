@@ -9,6 +9,12 @@
 
 namespace ppr {
 
+/// Algorithm 3's scanThreshold as a fraction of n: once more nodes than
+/// this are queued, the FIFO queue's random access order loses to a
+/// sequential scan. PowerPush's default, and the fixed switch point of
+/// the dynamic tracker's refresh (DynamicSsppr).
+inline constexpr double kScanThresholdFraction = 0.25;
+
 /// Options for PowerPush (Algorithm 3 of the paper). The defaults are the
 /// paper's: epochNum = 8, scanThreshold = n/4. The two booleans exist for
 /// the ablation bench (bench_ablation_powerpush) and leave the algorithm
@@ -21,7 +27,7 @@ struct PowerPushOptions {
   int epoch_num = 8;
   /// Switch from the FIFO queue to global sequential scans once the
   /// active frontier exceeds this fraction of n.
-  double scan_threshold_fraction = 0.25;
+  double scan_threshold_fraction = kScanThresholdFraction;
   /// Ablation: skip the local FIFO phase (scan from the start).
   bool use_queue_phase = true;
   /// Ablation: disable the dynamic ℓ1 threshold (single epoch at λ).

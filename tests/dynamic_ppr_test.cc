@@ -32,6 +32,54 @@ double CertifiedBound(const DynamicGraph& dg, double rmax) {
   return static_cast<double>(dg.num_edges() + dg.num_dead_ends()) * rmax;
 }
 
+/// The pool's per-update corrections and graph mutations for `batch`
+/// on one tracker, without the refresh, so a test can inspect the
+/// residues Refresh() starts from.
+void ObserveAndMutate(DynamicSsppr& tracker, DynamicGraph& dg,
+                      const UpdateBatch& batch) {
+  for (const EdgeUpdate& up : batch.updates) {
+    if (up.kind == UpdateKind::kInsert) {
+      tracker.ObserveBeforeInsert(up.u, up.v);
+      dg.AddEdge(up.u, up.v);
+    } else {
+      ASSERT_EQ(up.kind, UpdateKind::kDelete);
+      tracker.ObserveBeforeDelete(up.u, up.v);
+      dg.RemoveEdge(up.u, up.v);
+    }
+  }
+}
+
+/// Nodes with |r(v)| > deff(v)·rmax — the ones Refresh() pushes; at
+/// its start, the FIFO's seed.
+size_t CountActive(const DynamicSsppr& tracker, const DynamicGraph& dg) {
+  size_t active = 0;
+  for (NodeId v = 0; v < dg.num_nodes(); ++v) {
+    const double deff = std::max<NodeId>(dg.OutDegree(v), 1);
+    if (std::fabs(tracker.estimate().residue[v]) >
+        deff * tracker.options().rmax) {
+      active++;
+    }
+  }
+  return active;
+}
+
+double MinResidue(const DynamicSsppr& tracker) {
+  const std::vector<double>& residue = tracker.estimate().residue;
+  return *std::min_element(residue.begin(), residue.end());
+}
+
+/// What Refresh() guarantees whichever branch of the push loop ran:
+/// every |r(v)| ≤ deff(v)·rmax, the estimate is within (m+k)·rmax of a
+/// from-scratch solve, and reserve plus signed residue still sums to 1.
+void ExpectRefreshed(const DynamicSsppr& tracker, const DynamicGraph& dg) {
+  EXPECT_EQ(CountActive(tracker, dg), 0u);
+  EXPECT_LE(ErrorVsScratch(tracker, dg, tracker.options().alpha),
+            CertifiedBound(dg, tracker.options().rmax) + 1e-12);
+  double signed_residue = 0.0;
+  for (double r : tracker.estimate().residue) signed_residue += r;
+  EXPECT_NEAR(tracker.estimate().ReserveSum() + signed_residue, 1.0, 1e-12);
+}
+
 TEST(DynamicGraphTest, SnapshotRoundTripsStaticGraph) {
   Graph g = PaperExampleGraph();
   DynamicGraph dg(g);
@@ -380,6 +428,81 @@ TEST(DynamicSspprTest, ResidueL1ReportsBound) {
   // After Refresh, every |r| <= deff * rmax.
   EXPECT_LE(tracker.ResidueL1(),
             (dg.num_edges() + 1) * options.rmax + 1e-15);
+}
+
+TEST(DynamicSspprTest, ScanBranchColdBuildOnCompleteDigraph) {
+  // On the complete digraph on 8 nodes the source's first push leaves
+  // (1−α)/7 on each of the other 7 nodes, far above 7·rmax, so the queue
+  // holds 7 > n/4 = 2 nodes after one pop and the sweep builds the rest.
+  DynamicGraph dg(CompleteGraph(8));
+  DynamicSsppr::Options options;
+  options.rmax = 1e-9;
+  for (NodeId source : {0u, 3u, 7u}) {
+    SCOPED_TRACE(source);
+    DynamicSsppr tracker(&dg, source, options);
+    ExpectRefreshed(tracker, dg);
+  }
+}
+
+TEST(DynamicSspprTest, ScanBranchRepairsInsertDeleteBatches) {
+  // Every node of the complete digraph on 8 nodes holds reserve, and an
+  // update's correction touches every out-neighbor of its tail: each
+  // batch below leaves more than n/4 = 2 nodes active, so Refresh()
+  // seeds the FIFO past the threshold and the repair runs as sweeps.
+  // Deleting (u, w) takes w's share away and inserting shrinks the old
+  // neighbors' shares, so the batches start from negative residues.
+  DynamicGraph dg(CompleteGraph(8));
+  DynamicSsppr::Options options;
+  options.rmax = 1e-9;
+  DynamicSsppr tracker(&dg, 3, options);
+  UpdateBatch deletes, inserts, mixed;
+  deletes.Delete(3, 5).Delete(6, 3).Delete(1, 2);
+  inserts.Insert(3, 6).Insert(3, 6).Insert(2, 4);  // parallel edges
+  mixed.Delete(3, 6).Insert(5, 1).Delete(0, 3).Insert(6, 3);
+  for (const UpdateBatch* batch : {&deletes, &inserts, &mixed}) {
+    ObserveAndMutate(tracker, dg, *batch);
+    ASSERT_GT(CountActive(tracker, dg), dg.num_nodes() / 4);
+    ASSERT_LT(MinResidue(tracker), 0.0);
+    tracker.Refresh();
+    ExpectRefreshed(tracker, dg);
+  }
+}
+
+TEST(DynamicSspprTest, FifoBranchKeepsPathRepairsLocal) {
+  // Every node of a path has out-degree at most 1, so each push
+  // activates at most one node and the queue never holds more nodes than
+  // were active when Refresh() started. The cold build starts from the
+  // source alone and each batch below keeps every out-degree at most 1
+  // while activating at most 2 nodes, never more than n/4 = 8: the
+  // sweep never runs.
+  DynamicGraph dg(PathGraph(32));
+  DynamicSsppr::Options options;
+  options.rmax = 1e-10;
+  DynamicSsppr tracker(&dg, 0, options);
+  // A build that stays in the FIFO is the static FIFO-FwdPush, push for
+  // push.
+  ForwardPushOptions fifo_options;
+  fifo_options.rmax = options.rmax;
+  PprEstimate fifo;
+  FifoForwardPush(dg.Snapshot(), 0, fifo_options, &fifo);
+  EXPECT_EQ(tracker.estimate().reserve, fifo.reserve);
+  EXPECT_EQ(tracker.estimate().residue, fifo.residue);
+  ExpectRefreshed(tracker, dg);
+
+  UpdateBatch rewire, dead_end, revive;
+  rewire.Delete(5, 6).Insert(5, 20);  // 6 loses its share: r(6) < 0
+  dead_end.Delete(10, 11);  // 10's row becomes e_source
+  revive.Insert(10, 3);     // and gains its first edge back
+  for (const UpdateBatch* batch : {&rewire, &dead_end, &revive}) {
+    ObserveAndMutate(tracker, dg, *batch);
+    for (NodeId v = 0; v < dg.num_nodes(); ++v) {
+      ASSERT_LE(dg.OutDegree(v), 1u);
+    }
+    ASSERT_LE(CountActive(tracker, dg), dg.num_nodes() / 4);
+    ASSERT_LT(MinResidue(tracker), 0.0);
+    tracker.Refresh();
+    ExpectRefreshed(tracker, dg);
+  }
 }
 
 }  // namespace

@@ -15,9 +15,11 @@
 
 #include "serve/sharded_server.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -391,6 +393,101 @@ TEST(ShardedUpdateTest, BypassingTheRouterIsDetectedAsDivergence) {
   ASSERT_FALSE(applied.ok());
   EXPECT_EQ(applied.status().code(), StatusCode::kCorruption)
       << applied.status().ToString();
+  server.Stop();
+}
+
+TEST(ShardedUpdateTest, ConcurrentWritersApplyOneOrderOnEveryShard) {
+  // Two writers push insert-only batches out of the same two hubs
+  // through one spec at once. A hub's row lists its targets in arrival
+  // order, and the repair's rounding follows the corrections' order, so
+  // the replicas answer bit-identically only if the router's per-spec
+  // update_order mutex made every shard apply the batches in one order.
+  constexpr size_t kWriters = 2;
+  constexpr size_t kBatchesPerWriter = 12;
+  constexpr size_t kInsertsPerHub = 2;
+  constexpr uint64_t kSeed = 41;
+  const char* spec = "dynfwdpush:rmax=1e-9";
+  const Graph& graph = SharedFixtures().general;
+  std::vector<NodeId> by_degree(graph.num_nodes());
+  std::iota(by_degree.begin(), by_degree.end(), NodeId{0});
+  std::stable_sort(by_degree.begin(), by_degree.end(),
+                   [&](NodeId a, NodeId b) {
+                     return graph.OutDegree(a) > graph.OutDegree(b);
+                   });
+  const NodeId hubs[] = {by_degree[0], by_degree[1]};
+
+#if PPR_FAULT_INJECTION
+  // Sleeping before some shards' barriers widens the window in which an
+  // unordered router would let one writer's batch overtake the other's
+  // between two shards.
+  ScopedFaultInjection chaos(0x5AADE4D3ULL);
+  {
+    FaultSpec slow_apply;
+    slow_apply.probability = 0.5;
+    slow_apply.delay = std::chrono::microseconds(300);
+    FaultInjector::Global().SetFault("server.apply_updates", slow_apply);
+  }
+#endif  // PPR_FAULT_INJECTION
+
+  ShardedPprServerOptions options;
+  options.shards = 4;
+  options.shard.workers = 1;
+  ShardedPprServer server(options);
+  ASSERT_TRUE(server.AddSolver(spec, graph).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  // Every replica builds the hub's tracker first, so the batches below
+  // run as repairs.
+  PprQuery query;
+  query.source = hubs[0];
+  const auto solve_on = [&](size_t s, PprResult* result) {
+    auto submitted = server.shard(s).Submit(query, spec, kSeed);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    ASSERT_TRUE(submitted.value().Get(result).ok());
+  };
+  for (size_t s = 0; s < server.num_shards(); ++s) {
+    PprResult warm;
+    solve_on(s, &warm);
+  }
+
+  std::vector<Status> statuses(kWriters * kBatchesPerWriter);
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      Rng rng(1000 + w);
+      for (size_t b = 0; b < kBatchesPerWriter; ++b) {
+        UpdateBatch batch;
+        for (NodeId hub : hubs) {
+          for (size_t i = 0; i < kInsertsPerHub; ++i) {
+            NodeId target = hub;
+            while (target == hub) {
+              target = static_cast<NodeId>(rng.NextBounded(graph.num_nodes()));
+            }
+            batch.Insert(hub, target);
+          }
+        }
+        statuses[w * kBatchesPerWriter + b] =
+            server.ApplyUpdates(batch, spec).status();
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  for (const Status& status : statuses) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+
+  const uint64_t expected_epoch =
+      kWriters * kBatchesPerWriter * std::size(hubs) * kInsertsPerHub;
+  PprResult reference;
+  solve_on(0, &reference);
+  EXPECT_EQ(reference.epoch, expected_epoch);
+  for (size_t s = 1; s < server.num_shards(); ++s) {
+    PprResult result;
+    solve_on(s, &result);
+    EXPECT_EQ(result.epoch, reference.epoch) << "shard " << s;
+    EXPECT_EQ(result.scores, reference.scores)
+        << "shard " << s << " applied the batches in another order";
+  }
   server.Stop();
 }
 
