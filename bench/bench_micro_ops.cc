@@ -1,6 +1,7 @@
 // google-benchmark microbenches for the primitives underneath every
 // result in the paper: push operations (queue vs sequential scan — the
-// core §5 trade-off), random-walk steps, SpMV, and walk-index lookups.
+// core §5 trade-off), random-walk steps, SpMV, walk-index lookups, and
+// the top-k selection every served result with top_k > 0 runs.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include "core/forward_push.h"
 #include "core/power_iteration.h"
 #include "core/power_push.h"
+#include "eval/metrics.h"
 #include "graph/datasets.h"
 #include "util/rng.h"
 
@@ -121,6 +123,20 @@ void BM_SpMV(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(matrix->nnz()));
 }
 BENCHMARK(BM_SpMV)->Unit(benchmark::kMillisecond);
+
+// Top-10 of an n-long score vector: arg 0 is log2(n).
+void BM_TopK(benchmark::State& state) {
+  const size_t n = size_t{1} << state.range(0);
+  Rng rng(7);
+  std::vector<double> values(n);
+  for (double& v : values) v = rng.NextDouble();
+  for (auto _ : state) {
+    std::vector<uint32_t> top = TopK(values, 10);
+    benchmark::DoNotOptimize(top.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_TopK)->Arg(15)->Arg(17);
 
 }  // namespace
 }  // namespace ppr

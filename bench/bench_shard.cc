@@ -3,16 +3,15 @@
 // shards under every partition scheme, and — the `single` row for each
 // shard count — through one PprServer with shards x workers_per_shard
 // workers, the same queries and the same client count. Two specs:
-// speedppr:eps=0.5, whose Solve takes no solver-wide lock, and
-// dynfwdpush, whose Solve serializes on its tracker pool. Every row
-// builds a fresh server, so each dynfwdpush query meets a cold source
-// and pays a from-scratch push under that lock. Emits BENCH_shard.json
-// (qps, p50/p99, cut fraction).
+// speedppr:eps=0.5 and dynfwdpush. Every row builds a fresh server, so
+// each dynfwdpush query meets a cold source and pays a from-scratch
+// tracker build, which runs outside the solver's pool lock. Emits
+// BENCH_shard.json (qps, p50/p99, cut fraction).
 //
-// Expected shape: for speedppr the single row keeps pace with owner
+// Expected shape: for both specs the single row keeps pace with owner
 // routing at each shard count — same workers, one replica instead of N.
-// For dynfwdpush owner qps grows with the shard count (one solver lock
-// per replica) while the single row stays at one lock's throughput.
+// A single row that falls behind owner routing as shards grow means a
+// Solve serializes on a solver-wide lock, the one case replicas help.
 // Cut fraction is high for hash, lower for range on locality-ordered
 // ids, and degree balances edges.
 
@@ -218,10 +217,10 @@ int main(int argc, char** argv) {
     }
   }
   json.Write();
-  std::printf("\nExpected shape: speedppr single qps keeps pace with owner\n"
-              "qps (same workers, one replica); dynfwdpush owner qps grows\n"
-              "with shards (one solver lock per replica) while single stays\n"
-              "at one lock; degree partitioning shows the lowest edge\n"
+  std::printf("\nExpected shape: single qps keeps pace with owner qps for\n"
+              "both specs (same workers, one replica); a single row that\n"
+              "falls behind as shards grow means a Solve serializes on a\n"
+              "solver-wide lock; degree partitioning shows the lowest edge\n"
               "imbalance.\n");
   return 0;
 }

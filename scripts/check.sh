@@ -55,7 +55,10 @@ done
 # routing front-end — tier-wide seed derivation, the per-spec update
 # order mutex that walks ApplyUpdates across the shards, and the sharded
 # chaos/bounded-drain paths — against N concurrent PprServer shards.
-TSAN_FILTER='WorkerPool*:ThreadBudget*:PprServer*:ParallelFor*:Batch*:DynamicResize*:Sharded*'
+# DynamicConcurrentReadTest calls Solve on one dynamic solver from
+# several threads: cold tracker builds outside the solver lock, racing
+# first reads of one source, and warm copies of maintained estimates.
+TSAN_FILTER='WorkerPool*:ThreadBudget*:PprServer*:ParallelFor*:Batch*:DynamicResize*:DynamicConcurrent*:Sharded*'
 
 case "${MODE}" in
   tidy)

@@ -56,10 +56,11 @@ struct UpdateStats {
 ///    AdvertisedL1Bound of a from-scratch solve on Snapshot() — the
 ///    dynamic conformance suite (tests/dynamic_solver_test.cc) holds
 ///    every dynamic solver to exactly that.
-///  * `ApplyUpdates` must not run concurrently with Solve on the same
-///    instance; PprServer::ApplyUpdates provides the epoch barrier that
-///    serializes them under load (in-flight queries finish against the
-///    epoch they started on).
+///  * Concurrent Solve calls on one instance are allowed and run in
+///    parallel. `ApplyUpdates` must not run concurrently with Solve on
+///    the same instance; PprServer::ApplyUpdates provides the epoch
+///    barrier that serializes them under load (in-flight queries finish
+///    against the epoch they started on).
 class DynamicSolver : public Solver {
  public:
   DynamicSolver* AsDynamic() final { return this; }

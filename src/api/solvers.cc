@@ -619,10 +619,37 @@ class DynamicPoolSolver : public DynamicSolver {
     return pool_->Apply(mapped, pushes, applied);
   }
 
+  /// The maintained tracker for `source`, built on first use. mu_ is
+  /// held only to look the tracker up and to adopt a new one; a cold
+  /// build runs outside it (it only reads the graph, which the
+  /// DynamicSolver contract keeps ApplyUpdates from changing under a
+  /// Solve), so reads of other sources, warm or cold, go on in
+  /// parallel. Racing first reads of one source may both build the same
+  /// deterministic push; the first one adopted is kept. The call that
+  /// built adds the build's pushes and wall time to *stats, so a cold
+  /// read reports its cost; a warm read adds nothing.
+  const DynamicSsppr& TrackerFor(NodeId source, SolveStats* stats)
+      PPR_EXCLUDES(mu_) {
+    {
+      MutexLock lock(mu_);
+      if (const DynamicSsppr* tracker = pool_->Find(source)) {
+        return *tracker;
+      }
+    }
+    Timer timer;
+    uint64_t pushes = 0;
+    std::unique_ptr<DynamicSsppr> built = pool_->Build(source, &pushes);
+    stats->push_operations += pushes;
+    stats->seconds += timer.ElapsedSeconds();
+    MutexLock lock(mu_);
+    return pool_->Adopt(std::move(built));
+  }
+
   std::unique_ptr<DynamicGraph> dynamic_;
   std::unique_ptr<DynamicSspprPool> pool_;
-  /// Serializes Solve (the maintained estimates live in the solver, not
-  /// the context) and ApplyUpdates against each other.
+  /// Guards the pool's tracker map: TrackerFor's lookup and adoption,
+  /// and ApplyUpdates' repair of every tracker (which takes it for the
+  /// whole batch). Reads of a tracker's estimate run outside it.
   Mutex mu_;
 };
 
@@ -702,11 +729,13 @@ class DynFwdPushSolver : public DynamicPoolSolver {
           "(or lambda) option instead of a per-query lambda");
     }
     // The estimate lives in the solver (that is the point: it persists
-    // across queries and updates), not in the context — so concurrent
-    // Solves serialize on the pool here. Solve is read-only for an
-    // existing tracker; first use pays one from-scratch push.
-    MutexLock lock(mu_);
-    DynamicSsppr& tracker = pool_->TrackerFor(query.source);
+    // across queries and updates), not in the context. Between update
+    // batches it is read-only (ApplyUpdates is excluded by the
+    // DynamicSolver contract), so the copy runs outside mu_ and
+    // concurrent reads proceed in parallel; first use pays one
+    // from-scratch push.
+    const DynamicSsppr& tracker =
+        TrackerFor(query.source, &result->stats);
     const PprEstimate& estimate = tracker.estimate();
     result->scores.assign(estimate.reserve.begin(), estimate.reserve.end());
     if (query.want_residues) {
@@ -1207,11 +1236,11 @@ class DynTwoPhaseSolver : public DynamicPoolSolver {
           std::string(name()) +
           " is an approximate solver; lambda does not apply");
     }
-    const DynamicSsppr* tracker;
+    SolveStats stats;
+    const DynamicSsppr& tracker = TrackerFor(query.source, &stats);
     const Graph* snapshot;
     {
       MutexLock lock(mu_);
-      tracker = &pool_->TrackerFor(query.source);
       RefreshSnapshotLocked();
       snapshot = snapshot_.get();
     }
@@ -1219,7 +1248,7 @@ class DynTwoPhaseSolver : public DynamicPoolSolver {
     // estimates, the walk index and the epoch snapshot are all
     // read-only (ApplyUpdates is excluded by the DynamicSolver
     // contract — under load, by the server's epoch barrier), so
-    // concurrent queries pay the lock only for tracker lookup/creation
+    // concurrent queries pay the lock only for tracker lookup/adoption
     // and the per-epoch snapshot refresh, not for the walk phase that
     // dominates the query. The snapshot's node count (not the
     // Prepare-time graph_'s) sizes the workspace: the graph may have
@@ -1227,13 +1256,12 @@ class DynTwoPhaseSolver : public DynamicPoolSolver {
     const NodeId n = snapshot->num_nodes();
     Timer timer;
     std::vector<double>* scores = context.AcquireScores(n);
-    SeedScoresFromReserve(tracker->estimate().reserve, scores);
-    SolveStats stats;
-    ResidueWalkPhase(*snapshot, tracker->estimate().residue, walk_count_w_,
+    SeedScoresFromReserve(tracker.estimate().reserve, scores);
+    ResidueWalkPhase(*snapshot, tracker.estimate().residue, walk_count_w_,
                      params_.alpha, context.rng(), index_.get(), scores,
                      &stats, threads(), context.cancel_token());
-    stats.final_rsum = tracker->ResidueL1();
-    stats.seconds = timer.ElapsedSeconds();
+    stats.final_rsum = tracker.ResidueL1();
+    stats.seconds += timer.ElapsedSeconds();
     result->stats = stats;
     context.ExportScores(result);
     result->epoch = dynamic_->epoch();

@@ -9,14 +9,15 @@
 namespace ppr {
 
 DynamicSsppr::DynamicSsppr(DynamicGraph* graph, NodeId source,
-                           const Options& options)
+                           const Options& options, uint64_t* pushes)
     : graph_(graph), source_(source), options_(options) {
   PPR_CHECK(graph != nullptr);
   PPR_CHECK(source < graph->num_nodes());
   PPR_CHECK(options.rmax > 0.0);
   PPR_CHECK(options.alpha > 0.0 && options.alpha < 1.0);
   estimate_.Reset(graph->num_nodes(), source);
-  Refresh();
+  const uint64_t built = Refresh();
+  if (pushes != nullptr) *pushes = built;
 }
 
 bool DynamicSsppr::IsActive(NodeId v) const {
@@ -85,7 +86,13 @@ uint64_t DynamicSsppr::PushLoop() {
   return pushes;
 }
 
-uint64_t DynamicSsppr::Refresh() { return PushLoop(); }
+uint64_t DynamicSsppr::Refresh() {
+  const uint64_t pushes = PushLoop();
+  double sum = 0.0;
+  for (double r : estimate_.residue) sum += std::fabs(r);
+  residue_l1_ = sum;
+  return pushes;
+}
 
 void DynamicSsppr::ObserveBeforeInsert(NodeId u, NodeId w) {
   PPR_CHECK(u < graph_->num_nodes() && w < graph_->num_nodes());
@@ -156,19 +163,13 @@ void DynamicSsppr::GrowTo(NodeId n) {
 uint64_t DynamicSsppr::AddEdge(NodeId u, NodeId w) {
   ObserveBeforeInsert(u, w);
   graph_->AddEdge(u, w);
-  return PushLoop();
+  return Refresh();
 }
 
 uint64_t DynamicSsppr::RemoveEdge(NodeId u, NodeId w) {
   ObserveBeforeDelete(u, w);
   graph_->RemoveEdge(u, w);
-  return PushLoop();
-}
-
-double DynamicSsppr::ResidueL1() const {
-  double sum = 0.0;
-  for (double r : estimate_.residue) sum += std::fabs(r);
-  return sum;
+  return Refresh();
 }
 
 // ------------------------------------------------------------------ pool
@@ -180,14 +181,26 @@ DynamicSspprPool::DynamicSspprPool(DynamicGraph* graph,
 }
 
 DynamicSsppr& DynamicSspprPool::TrackerFor(NodeId source) {
+  if (DynamicSsppr* tracker = Find(source)) return *tracker;
+  return Adopt(Build(source));
+}
+
+DynamicSsppr* DynamicSspprPool::Find(NodeId source) {
   auto it = trackers_.find(source);
-  if (it == trackers_.end()) {
-    it = trackers_
-             .emplace(source,
-                      std::make_unique<DynamicSsppr>(graph_, source, options_))
-             .first;
-  }
-  return *it->second;
+  return it == trackers_.end() ? nullptr : it->second.get();
+}
+
+std::unique_ptr<DynamicSsppr> DynamicSspprPool::Build(NodeId source,
+                                                      uint64_t* pushes) const {
+  return std::make_unique<DynamicSsppr>(graph_, source, options_, pushes);
+}
+
+DynamicSsppr& DynamicSspprPool::Adopt(std::unique_ptr<DynamicSsppr> tracker) {
+  PPR_CHECK(tracker != nullptr);
+  // try_emplace leaves the resident tracker (and the references readers
+  // hold to it) untouched; a losing build is destroyed with `tracker`.
+  const NodeId source = tracker->source();
+  return *trackers_.try_emplace(source, std::move(tracker)).first->second;
 }
 
 Status DynamicSspprPool::Apply(

@@ -55,8 +55,11 @@ class DynamicSsppr {
   /// The tracker keeps a reference to `graph`; mutate it through
   /// AddEdge/RemoveEdge below, or through a DynamicSspprPool when
   /// several trackers share the graph (mutating `graph` behind the
-  /// tracker's back breaks the invariant).
-  DynamicSsppr(DynamicGraph* graph, NodeId source, const Options& options);
+  /// tracker's back breaks the invariant). Construction runs the
+  /// from-scratch push, which only reads `graph`; `pushes`, when
+  /// non-null, receives its push count.
+  DynamicSsppr(DynamicGraph* graph, NodeId source, const Options& options,
+               uint64_t* pushes = nullptr);
 
   /// Applies the insertion to the graph and repairs the estimate.
   /// Returns the number of push operations performed.
@@ -66,8 +69,9 @@ class DynamicSsppr {
   /// Returns the number of push operations performed.
   uint64_t RemoveEdge(NodeId u, NodeId w);
 
-  /// Pushes until no node is active. AddEdge/RemoveEdge already refresh;
-  /// pool orchestration defers this to the end of a batch.
+  /// Pushes until no node is active, then recomputes ResidueL1().
+  /// AddEdge/RemoveEdge already refresh; pool orchestration defers this
+  /// to the end of a batch.
   uint64_t Refresh();
 
   // ---- pool orchestration (graph mutated by the caller) --------------
@@ -94,8 +98,12 @@ class DynamicSsppr {
   /// Current estimate; reserve ≈ π_s within the bound above.
   const PprEstimate& estimate() const { return estimate_; }
 
-  /// Σ|r| — the current ℓ1-error bound.
-  double ResidueL1() const;
+  /// Σ|r| as of the last Refresh — the ℓ1-error bound of the estimate a
+  /// read sees, since the constructor, AddEdge/RemoveEdge and
+  /// DynamicSspprPool::Apply all end in one. O(1): Refresh sums the
+  /// residues once, so reads do not rescan them. Observe* corrections
+  /// made since the last Refresh are not reflected.
+  double ResidueL1() const { return residue_l1_; }
 
   NodeId source() const { return source_; }
   const Options& options() const { return options_; }
@@ -112,6 +120,7 @@ class DynamicSsppr {
   NodeId source_;
   Options options_;
   PprEstimate estimate_;
+  double residue_l1_ = 0.0;
 };
 
 /// A set of per-source trackers sharing one DynamicGraph and one update
@@ -120,6 +129,14 @@ class DynamicSsppr {
 /// O(n) tracker once; an applied batch mutates the graph once and
 /// repairs every tracker, so k concurrent sources cost k local
 /// corrections per update, not k copies of the graph.
+///
+/// Concurrency: the pool itself is unsynchronized. Find, Adopt,
+/// TrackerFor and Apply touch the tracker map and must be serialized by
+/// the caller; Build only reads the graph, so any number of Builds may
+/// run beside each other and beside Find/Adopt, never beside Apply. A
+/// resident tracker is never replaced or destroyed before the pool, so
+/// a reference obtained under the caller's lock stays valid outside it
+/// — and its estimate is read-only until the next Apply.
 class DynamicSspprPool {
  public:
   /// The pool keeps a reference to `graph`; after construction, mutate
@@ -127,8 +144,24 @@ class DynamicSspprPool {
   DynamicSspprPool(DynamicGraph* graph, const DynamicSsppr::Options& options);
 
   /// The tracker for `source`, created (from-scratch push at the current
-  /// epoch) on first use. Stable address for the pool's lifetime.
+  /// epoch) on first use: Find, else Adopt(Build). Stable address for
+  /// the pool's lifetime.
   DynamicSsppr& TrackerFor(NodeId source);
+
+  /// The resident tracker for `source`, or null.
+  DynamicSsppr* Find(NodeId source);
+
+  /// A from-scratch tracker for `source` at the current epoch, not yet in
+  /// the pool; `pushes`, when non-null, receives the build's push count.
+  /// Reads the graph only (see the class comment).
+  std::unique_ptr<DynamicSsppr> Build(NodeId source,
+                                      uint64_t* pushes = nullptr) const;
+
+  /// Makes `tracker` resident unless its source already has a tracker,
+  /// and returns the resident one. When two builds of one source race,
+  /// the first adopted wins and the later one is dropped: both ran the
+  /// same deterministic push, and references to the winner stay valid.
+  DynamicSsppr& Adopt(std::unique_ptr<DynamicSsppr> tracker);
 
   /// Validates and applies the batch: per-update algebraic corrections
   /// on every tracker interleaved with the graph mutations, then one

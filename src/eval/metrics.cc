@@ -38,26 +38,43 @@ double MaxRelativeError(std::span<const double> estimate,
 
 std::vector<uint32_t> TopK(std::span<const double> values, size_t k) {
   k = std::min(k, values.size());
-  std::vector<uint32_t> ids(values.size());
-  std::iota(ids.begin(), ids.end(), 0);
   // Total order even in the presence of NaNs: descending by value, NaNs
   // after every number, equal values (and NaN pairs) broken ascending by
   // node id. A plain `values[a] > values[b]` comparator is not a strict
   // weak ordering once a NaN appears (NaN compares false against
-  // everything), which makes partial_sort undefined; this one stays
-  // deterministic for any input.
-  std::partial_sort(ids.begin(), ids.begin() + k, ids.end(),
-                    [&](uint32_t a, uint32_t b) {
-                      const double va = values[a];
-                      const double vb = values[b];
-                      const bool nan_a = std::isnan(va);
-                      const bool nan_b = std::isnan(vb);
-                      if (nan_a != nan_b) return nan_b;
-                      if (!nan_a && va != vb) return va > vb;
-                      return a < b;
-                    });
-  ids.resize(k);
-  return ids;
+  // everything), which makes the heap operations undefined; this one
+  // stays deterministic for any input.
+  const auto before = [&](uint32_t a, uint32_t b) {
+    const double va = values[a];
+    const double vb = values[b];
+    const bool nan_a = std::isnan(va);
+    const bool nan_b = std::isnan(vb);
+    if (nan_a != nan_b) return nan_b;
+    if (!nan_a && va != vb) return va > vb;
+    return a < b;
+  };
+  // One pass over a k-sized heap whose front is the worst kept id. Ids
+  // arrive ascending, so a newcomer loses every tie and beats the worst
+  // kept entry only with a strictly greater value, or with any number
+  // while that entry is NaN. `!(v <= worst)` admits exactly those plus a
+  // NaN newcomer, which never beats a kept entry: one comparison per
+  // entry on the common path.
+  std::vector<uint32_t> heap(k);
+  std::iota(heap.begin(), heap.end(), 0);
+  if (k == 0) return heap;
+  std::make_heap(heap.begin(), heap.end(), before);
+  double worst = values[heap.front()];
+  for (uint32_t id = static_cast<uint32_t>(k); id < values.size(); ++id) {
+    const double v = values[id];
+    if (!(v <= worst) && !std::isnan(v)) {
+      std::pop_heap(heap.begin(), heap.end(), before);
+      heap.back() = id;
+      std::push_heap(heap.begin(), heap.end(), before);
+      worst = values[heap.front()];
+    }
+  }
+  std::sort_heap(heap.begin(), heap.end(), before);
+  return heap;
 }
 
 double PrecisionAtK(std::span<const double> estimate,

@@ -27,7 +27,8 @@ double PrecisionAtK(std::span<const double> estimate,
 /// Indices of the k largest values under a deterministic total order:
 /// descending by value, equal values broken by lower id first, NaNs
 /// ordered after every number (and among themselves by id). The same
-/// input always yields the same ids, NaN or not.
+/// input always yields the same ids, NaN or not. One pass over `values`
+/// with O(k) extra memory (a k-sized heap); O(n log k) time at worst.
 std::vector<uint32_t> TopK(std::span<const double> values, size_t k);
 
 }  // namespace ppr

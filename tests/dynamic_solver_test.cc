@@ -10,10 +10,13 @@
 #include "api/dynamic_solver.h"
 
 #include <algorithm>
+#include <barrier>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -580,6 +583,154 @@ TEST(DynamicSolverTest, WantResiduesExportsTheSignedCertificate) {
   double l1 = 0.0;
   for (double r : result.residues) l1 += std::fabs(r);
   EXPECT_LE(l1, result.l1_bound + 1e-12);
+}
+
+TEST(DynamicSolverTest, ColdReadsReportTheirTrackerBuild) {
+  // The read that builds a source's tracker ran a from-scratch push and
+  // says so; a warm read copies the maintained estimate and reports no
+  // pushes, before and after an update batch (repairs are reported by
+  // ApplyUpdates, not by reads).
+  Rng rng(21);
+  Graph graph = ErdosRenyi(200, 4.0, rng);
+  UpdateBatch batch;
+  batch.Insert(3, 9).Insert(9, 4);
+  for (const char* spec : {"dynfwdpush:rmax=1e-7", "dynspeedppr:eps=0.3"}) {
+    Prepared p = MakeDynamic(spec, graph);
+    SolverContext context(kSeed);
+    PprQuery query;
+    query.source = 3;
+    PprResult cold;
+    ASSERT_TRUE(p.solver->Solve(query, context, &cold).ok()) << spec;
+    EXPECT_GT(cold.stats.push_operations, 0u) << spec;
+    EXPECT_GT(cold.stats.seconds, 0.0) << spec;
+
+    PprResult warm;
+    ASSERT_TRUE(p.solver->Solve(query, context, &warm).ok()) << spec;
+    EXPECT_EQ(warm.stats.push_operations, 0u) << spec;
+
+    ASSERT_TRUE(p.dynamic->ApplyUpdates(batch, nullptr).ok()) << spec;
+    ASSERT_TRUE(p.solver->Solve(query, context, &warm).ok()) << spec;
+    EXPECT_EQ(warm.stats.push_operations, 0u) << spec;
+  }
+}
+
+// ---------------------------------------------------------------------
+// DynamicConcurrentReadTest — Solve called from several threads at once
+// on one dynamic solver, between update batches: cold reads build their
+// trackers outside the solver lock, racing first reads of one source
+// keep the first tracker adopted, and warm reads copy maintained
+// estimates in parallel. Runs under TSAN via scripts/check.sh's
+// DynamicConcurrent* filter.
+// ---------------------------------------------------------------------
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(DynamicConcurrentReadTest, ParallelReadsMatchSerialReadsBitForBit) {
+  Rng rng(33);
+  Graph graph = BarabasiAlbert(600, 3, rng);
+  UpdateWorkloadOptions workload;
+  workload.count = 48;
+  workload.delete_fraction = 0.3;
+  workload.seed = 5;
+  const UpdateBatch stream = GenerateUpdateStream(graph, workload).ValueOrDie();
+  constexpr size_t kBatches = 3;
+  const std::vector<NodeId> warm = {0, 1, 2};
+
+  // Builds an instance the same way every time: warm sources read
+  // before the updates (so their trackers are repaired, not rebuilt),
+  // then the batches.
+  const auto prepare = [&](const char* spec) {
+    Prepared p = MakeDynamic(spec, graph);
+    SolverContext context(kSeed);
+    for (NodeId source : warm) {
+      PprQuery query;
+      query.source = source;
+      PprResult result;
+      EXPECT_TRUE(p.solver->Solve(query, context, &result).ok()) << spec;
+    }
+    for (size_t b = 0; b < kBatches; ++b) {
+      UpdateBatch chunk;
+      chunk.updates.assign(
+          stream.updates.begin() + b * stream.size() / kBatches,
+          stream.updates.begin() + (b + 1) * stream.size() / kBatches);
+      EXPECT_TRUE(p.dynamic->ApplyUpdates(chunk, nullptr).ok()) << spec;
+    }
+    return p;
+  };
+
+  constexpr unsigned kThreads = 4;
+  constexpr size_t kRaces = 6;  // sources every thread reads first, at once
+  struct Read {
+    NodeId source;
+    uint64_t seed;
+  };
+  // Per thread: the racing first reads (synchronized by a barrier), then
+  // distinct cold sources interleaved with warm reads.
+  std::vector<std::vector<Read>> plans(kThreads);
+  for (unsigned t = 0; t < kThreads; ++t) {
+    for (size_t r = 0; r < kRaces; ++r) {
+      plans[t].push_back({static_cast<NodeId>(10 + r), 100 * t + r});
+    }
+    for (size_t i = 0; i < 5; ++i) {
+      const NodeId cold = static_cast<NodeId>(100 + 5 * t + i);
+      plans[t].push_back({cold, 1000 * t + i});
+      plans[t].push_back({warm[(t + i) % warm.size()], 2000 * t + i});
+    }
+  }
+
+  for (const char* spec : {"dynfwdpush:rmax=1e-7", "dynspeedppr:eps=0.3"}) {
+    Prepared concurrent = prepare(spec);
+    std::vector<std::vector<PprResult>> got(kThreads);
+    std::vector<std::vector<Status>> statuses(kThreads);
+    std::barrier sync(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        SolverContext context(kSeed);
+        for (size_t i = 0; i < plans[t].size(); ++i) {
+          if (i < kRaces) sync.arrive_and_wait();
+          PprQuery query;
+          query.source = plans[t][i].source;
+          query.top_k = 10;
+          context.Reseed(plans[t][i].seed);
+          PprResult result;
+          statuses[t].push_back(
+              concurrent.solver->Solve(query, context, &result));
+          got[t].push_back(std::move(result));
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+
+    // The reference answers every read one at a time, in thread order,
+    // on an instance prepared and updated the same way.
+    Prepared serial = prepare(spec);
+    SolverContext context(kSeed);
+    for (unsigned t = 0; t < kThreads; ++t) {
+      for (size_t i = 0; i < plans[t].size(); ++i) {
+        ASSERT_TRUE(statuses[t][i].ok()) << spec << " " << t << "/" << i;
+        PprQuery query;
+        query.source = plans[t][i].source;
+        query.top_k = 10;
+        context.Reseed(plans[t][i].seed);
+        PprResult want;
+        ASSERT_TRUE(serial.solver->Solve(query, context, &want).ok());
+        const PprResult& have = got[t][i];
+        EXPECT_TRUE(SameBits(have.scores, want.scores))
+            << spec << " thread " << t << " read " << i;
+        EXPECT_EQ(have.top_nodes, want.top_nodes) << spec;
+        EXPECT_EQ(have.epoch, want.epoch) << spec;
+        EXPECT_EQ(have.epoch, stream.size()) << spec;
+        EXPECT_EQ(std::memcmp(&have.stats.final_rsum, &want.stats.final_rsum,
+                              sizeof(double)),
+                  0)
+            << spec;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,14 @@
 #include "eval/metrics.h"
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace ppr {
 namespace {
@@ -65,6 +71,57 @@ TEST(MetricsTest, TopKNansOrderLastDeterministically) {
   EXPECT_EQ(TopK(values, 5), top);
   // A k that cuts inside the NaN tail still picks the lower ids.
   EXPECT_EQ(TopK(values, 4), (std::vector<uint32_t>{3, 1, 4, 0}));
+}
+
+/// TopK's documented order, spelled out independently of it: a stable
+/// sort of every id — numbers descending, NaNs after them, ties keeping
+/// ascending id order — cut to k.
+std::vector<uint32_t> ReferenceTopK(const std::vector<double>& values,
+                                    size_t k) {
+  std::vector<uint32_t> ids(values.size());
+  std::iota(ids.begin(), ids.end(), 0);
+  std::stable_sort(ids.begin(), ids.end(), [&](uint32_t a, uint32_t b) {
+    const double va = values[a];
+    const double vb = values[b];
+    if (std::isnan(va) || std::isnan(vb)) {
+      return !std::isnan(va) && std::isnan(vb);
+    }
+    return va > vb;
+  });
+  ids.resize(std::min(k, ids.size()));
+  return ids;
+}
+
+TEST(MetricsTest, TopKMatchesAStableSortReference) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // A small palette makes ties the rule rather than the exception, and
+  // holds every value the order treats specially: NaN, ±0.0 (equal, so
+  // tied) and ±inf.
+  const double palette[] = {nan, 0.0, -0.0, inf, -inf, 1.0, 0.5, -0.5, 1e-9};
+  Rng rng(20261017);
+  std::vector<std::vector<double>> inputs;
+  for (size_t n : {1, 2, 3, 10, 11, 64, 257, 1000}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<double> values(n);
+      for (double& v : values) {
+        // One entry in four is a fresh number: distinct values mixed
+        // into the tie classes.
+        v = rng.NextBounded(4) == 0 ? rng.NextDouble()
+                                    : palette[rng.NextBounded(9)];
+      }
+      inputs.push_back(std::move(values));
+    }
+    inputs.emplace_back(n, nan);
+    inputs.emplace_back(n, 0.25);
+  }
+  for (const std::vector<double>& values : inputs) {
+    const size_t n = values.size();
+    for (size_t k : {size_t{0}, size_t{1}, size_t{10}, n - 1, n, n + 5}) {
+      ASSERT_EQ(TopK(values, k), ReferenceTopK(values, k))
+          << "n=" << n << " k=" << k;
+    }
+  }
 }
 
 TEST(MetricsTest, PrecisionAtKPerfectAndDisjoint) {
