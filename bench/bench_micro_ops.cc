@@ -1,13 +1,23 @@
 // google-benchmark microbenches for the primitives underneath every
 // result in the paper: push operations (queue vs sequential scan — the
-// core §5 trade-off), random-walk steps, SpMV, walk-index lookups, and
-// the top-k selection every served result with top_k > 0 runs.
+// core §5 trade-off), random-walk steps, SpeedPPR's walk phase serial
+// and through the shared pool, SpMV, walk-index lookups, and the top-k
+// selection every served result with top_k > 0 runs.
+//
+// CI's bench smoke runs the walk, push and top-k cases and keeps the
+// JSON (--benchmark_out=<dir>/BENCH_micro_ops.json
+// --benchmark_out_format=json), so the kernel layer's edge pushes/s and
+// walk steps/s are recorded with the other BENCH files.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
+#include "approx/monte_carlo.h"
 #include "approx/random_walk.h"
+#include "approx/residue_walks.h"
 #include "approx/walk_index.h"
 #include "bepi/sparse_matrix.h"
 #include "core/forward_push.h"
@@ -16,6 +26,7 @@
 #include "eval/metrics.h"
 #include "graph/datasets.h"
 #include "util/rng.h"
+#include "util/worker_pool.h"
 
 namespace ppr {
 namespace {
@@ -83,6 +94,83 @@ void BM_RandomWalk(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(steps));
 }
 BENCHMARK(BM_RandomWalk);
+
+/// A SpeedPPR (eps = 0.5) walk phase: the residue its phase 1 leaves
+/// (PowerPush to λ = m/W, then the refine to rmax = 1/W; Algorithm 4
+/// lines 2–3) and the walks phase 2 runs over it.
+struct WalkPhaseInput {
+  Graph graph;
+  std::vector<double> residue;
+  uint64_t w = 0;
+  uint64_t walks = 0;
+};
+
+/// The first source of `dataset` at `scale`, in id order, whose SpeedPPR
+/// walk phase runs at least `min_walks` walks (else the one with the
+/// most). The walk count is set by the graph and source, not by eps:
+/// every residue ends below d_v/W. Cached per dataset.
+const WalkPhaseInput& SpeedPprWalkPhase(const std::string& dataset,
+                                        double scale, uint64_t min_walks) {
+  static auto* inputs = new std::map<std::string, WalkPhaseInput>();
+  if (auto it = inputs->find(dataset); it != inputs->end()) return it->second;
+  WalkPhaseInput& input = (*inputs)[dataset];
+  input.graph = MakeDataset(FindDataset(dataset), scale);
+  const Graph& g = input.graph;
+  const NodeId n = g.num_nodes();
+  input.w = ChernoffWalkCount(n, 0.5, 1.0 / n);
+  const double dw = static_cast<double>(input.w);
+  for (NodeId source = 0; source < n && input.walks < min_walks; ++source) {
+    PprEstimate estimate;
+    PowerPushOptions options;
+    options.lambda = static_cast<double>(g.num_edges()) / dw;
+    PowerPush(g, source, options, &estimate);
+    FifoForwardPushRefine(g, source, options.alpha, 1.0 / dw, &estimate);
+    uint64_t walks = 0;
+    for (double r : estimate.residue) {
+      walks += static_cast<uint64_t>(std::ceil(std::fabs(r) * dw));
+    }
+    if (walks > input.walks) {
+      input.walks = walks;
+      input.residue = std::move(estimate.residue);
+    }
+  }
+  return input;
+}
+
+// ResidueWalkPhase over a SpeedPPR residue, at arg 0 threads: 1 runs
+// serially, ThreadBudget() fans out onto the shared pool, as a threads=0
+// solve does off a server or batch worker. webst-sim (approx-serve's
+// graph) runs ~4k walks per source at the median, so its first source
+// at or past kMinParallelWalks = 4,096 sits at the cutoff; dblp-sim runs
+// about 3n walks, so ~64k at scale 0.7. Real time, since the walks run
+// on other threads too.
+void BM_ResidueWalkPhase(benchmark::State& state, const char* dataset,
+                         double scale, uint64_t min_walks) {
+  const WalkPhaseInput& input = SpeedPprWalkPhase(dataset, scale, min_walks);
+  const unsigned threads = static_cast<unsigned>(state.range(0));
+  std::vector<double> out(input.graph.num_nodes(), 0.0);
+  Rng rng(11);
+  SolveStats stats;
+  for (auto _ : state) {
+    ResidueWalkPhase(input.graph, input.residue, input.w, 0.2, rng, nullptr,
+                     &out, &stats, threads);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["walks"] = static_cast<double>(input.walks);
+  state.counters["walk_steps_per_s"] = benchmark::Counter(
+      static_cast<double>(stats.walk_steps), benchmark::Counter::kIsRate);
+}
+
+void WalkPhaseThreads(benchmark::internal::Benchmark* b) {
+  b->ArgName("threads")->Arg(1);
+  if (ThreadBudget() > 1) b->Arg(ThreadBudget());
+  b->UseRealTime()->Unit(benchmark::kMicrosecond);
+}
+BENCHMARK_CAPTURE(BM_ResidueWalkPhase, webst_4k, "webst-sim", 1.0, 4096)
+    ->Apply(WalkPhaseThreads);
+BENCHMARK_CAPTURE(BM_ResidueWalkPhase, dblp_64k, "dblp-sim", 0.7, 65536)
+    ->Apply(WalkPhaseThreads);
 
 void BM_WalkIndexLookup(benchmark::State& state) {
   const Graph& g = BenchGraph();

@@ -4,14 +4,24 @@
 // serving regressions are trackable across commits, next to the
 // per-query kernel numbers from bench_scaling.
 //
-// Expected shape: qps grows with workers until the thread budget or the
-// per-query kernel parallelism saturates the machine; qps_per_worker > 1
-// everywhere (queries here are millisecond-scale); p99 stays within a
-// small multiple of p50 — the context pool keeps per-query setup O(touched).
+// Every server worker is one of the thread budget's compute threads: a
+// threads=0 spec runs each query's walk phase serially on its worker,
+// so its qps grows with workers up to the budget. The SpeedPPR row with
+// threads=<budget> opts the same spec into fanning its PowerPush scan
+// and walk phase out onto the shared WorkerPool, which prices that
+// choice: at workers=1 the pool is otherwise idle, so the row shows
+// what fan-out buys one query; at workers=budget, what it costs
+// throughput.
+//
+// Expected shape: qps_per_worker > 1 everywhere (queries here are
+// millisecond-scale); p99 stays within a small multiple of p50 — the
+// context pool keeps per-query setup O(touched).
 
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -150,9 +160,11 @@ int main(int argc, char** argv) {
     worker_counts.push_back(worker_counts.back() * 2);
   }
 
-  const std::vector<std::pair<const char*, const char*>> hosted = {
+  const std::vector<std::pair<std::string, std::string>> hosted = {
       {"PowerPush", "powerpush:lambda=1e-7"},
       {"SpeedPPR", "speedppr:eps=0.5"},
+      {"SpeedPPR, pool fan-out",
+       "speedppr:eps=0.5,threads=" + std::to_string(budget)},
   };
 
   for (auto& named : LoadBenchDatasets(bench::kApproxScale, /*max_count=*/2)) {
@@ -217,11 +229,19 @@ int main(int argc, char** argv) {
             .Num("deadline_miss_rate", miss_rate)
             .Num("p99_under_injected_slowness", chaos ? p99 : 0.0);
       }
-      std::printf("%s — %s\n%s", label, spec, table.ToString().c_str());
+      std::printf("%s — %s\n%s", label.c_str(), spec.c_str(),
+                  table.ToString().c_str());
     }
   }
   json.Write();
-  std::printf("\nExpected shape: qps scales with workers; qps/worker > 1\n"
-              "throughout (millisecond queries on a warm context pool).\n");
+  std::printf(
+      "\nExpected shape: threads=0 specs scale qps with workers, each\n"
+      "query on its own worker; the threads=%u row fans each query's\n"
+      "PowerPush scan and walk phase out onto the shared pool: compare\n"
+      "it with the threads=0 row at workers=1 for what fan-out buys one\n"
+      "query, and at the widest row for what it costs throughput.\n"
+      "qps/worker > 1 throughout (millisecond queries on a warm context\n"
+      "pool).\n",
+      budget);
   return 0;
 }

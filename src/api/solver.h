@@ -136,6 +136,8 @@ class Solver {
   /// ParallelThreadCount() for the thread-count-invariant stages (walk
   /// phases, single-pair materialization) and keeps the order-sensitive
   /// dense kernels serial (see docs/api.md, "Parallelism & determinism").
+  /// ParallelThreadCount() is 1 on a PprServer or BatchSolve worker, so
+  /// there 0 means serial and only an explicit count fans out.
   void set_threads(unsigned threads) { threads_ = threads; }
   unsigned threads() const { return threads_; }
 
@@ -150,9 +152,11 @@ class Solver {
                          PprResult* result) = 0;
 
   /// threads= as the auto-parallelizing stages resolve it: the explicit
-  /// count, else ParallelThreadCount(). Adapters use this instead of
-  /// re-deriving it so the asymmetric policy — walk phases auto-scale,
-  /// dense kernels stay serial at 0 — lives in one place.
+  /// count, else ParallelThreadCount() — so 1 under threads=0 on a
+  /// PprServer or BatchSolve worker, where adapters then lend no
+  /// per-worker scratch. Adapters use this instead of re-deriving it so
+  /// the asymmetric policy — walk phases auto-scale, dense kernels stay
+  /// serial at 0 — lives in one place.
   unsigned ResolvedWorkers() const;
 
   /// Original id → layout id under an order= layout; empty for kNone.

@@ -951,9 +951,11 @@ class TwoPhaseSolver : public BatchSolver {
     if (kind_ == Kind::kSpeedPpr) {
       // Lend scratch only to the stages that will read it: the PowerPush
       // scan under an explicit threads=N, or the W <= m MonteCarlo
-      // fallback (which auto-parallelizes under threads=0). Acquiring
-      // unconditionally would pin O(n·workers) buffers that the common
-      // W > m, threads=0 path never touches.
+      // fallback (which auto-parallelizes under threads=0, except on a
+      // PprServer or BatchSolve worker, where ResolvedWorkers() is 1 and
+      // nothing is lent). Acquiring unconditionally would pin
+      // O(n·workers) buffers that the common W > m, threads=0 path never
+      // touches.
       const unsigned workers = ResolvedWorkers();
       const bool mc_fallback_wants_scratch =
           SpeedPprUsesMonteCarloFallback(*graph_, options) &&

@@ -9,6 +9,7 @@
 #include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/mutex.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/worker_pool.h"
 
@@ -392,6 +393,12 @@ Result<uint64_t> PprServer::ApplyUpdates(const UpdateBatch& batch,
 }
 
 void PprServer::WorkerLoop() {
+  // Each worker is one of the thread budget's compute threads, as a
+  // BatchSolve worker is: a query's auto-sized (threads=0) stages run
+  // serially here instead of fanning out into the shared pool that the
+  // other workers' queries are already keeping busy. A threads=N spec
+  // still fans out, since explicit counts ignore the marker.
+  internal::ScopedParallelWorker worker_marker;
   while (auto request = queue_.Pop()) {
     PPR_FAULT_POINT("serve.queue.pop");
     BatchSolver* fused =

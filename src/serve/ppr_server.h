@@ -86,11 +86,14 @@ struct ServeRequest {
 
 struct PprServerOptions {
   /// Serving threads — concurrent queries in flight. 0 → ThreadBudget().
-  /// Each worker runs its query's serial phases itself and shares the
-  /// budgeted WorkerPool for the parallel kernels, so total compute
-  /// threads are bounded by workers + the pool — not by workers ×
-  /// threads= as the old spawn-per-stage scheme multiplied. Keep
-  /// workers within the machine share you intend the server to use.
+  /// Each worker is a compute thread: it runs its whole query, and the
+  /// query's threads=0 stages (walk phases, the mc walk loop, column
+  /// fan-outs) run serially on it rather than on the shared WorkerPool,
+  /// so threads=0 specs use `workers` compute threads. Only a spec with
+  /// an explicit threads=N fans out, onto the budgeted pool, so total
+  /// compute threads stay bounded by workers + the pool — not by
+  /// workers × N. Keep workers within the machine share you intend the
+  /// server to use.
   unsigned workers = 0;
   /// Bounded request-queue capacity; a full queue rejects Submit with
   /// Unavailable (see docs/serving.md, "Backpressure").

@@ -11,11 +11,12 @@
 namespace ppr {
 
 namespace {
-/// True on threads executing a parallel-region chunk, so auto-sized
-/// (threads=0) stages nested inside an outer parallel region — e.g. a
-/// walk phase running under a BatchSolve worker — resolve to serial
-/// instead of oversubscribing the machine. Explicit counts still win.
-/// Set via internal::ScopedParallelWorker by the WorkerPool.
+/// True on threads executing a parallel-region chunk or serving
+/// queries, so auto-sized (threads=0) stages nested inside them — e.g.
+/// a walk phase running under a BatchSolve or PprServer worker —
+/// resolve to serial instead of oversubscribing the machine. Explicit
+/// counts still win. Set via internal::ScopedParallelWorker by the
+/// WorkerPool and by PprServer::WorkerLoop.
 thread_local bool t_inside_parallel_worker = false;
 }  // namespace
 

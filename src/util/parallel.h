@@ -9,10 +9,11 @@ namespace ppr {
 
 /// Number of worker threads used by ParallelFor: hardware concurrency by
 /// default, overridable with PPR_THREADS (1 disables parallelism).
-/// Returns 1 on a thread that is itself a ParallelForThreads worker, so
-/// auto-sized nested stages (a solver's walk phase under a BatchSolve
-/// worker) degrade to serial instead of oversubscribing; explicit
-/// ParallelForThreads counts are unaffected.
+/// Returns 1 on a thread marked as a parallel worker (see
+/// internal::ScopedParallelWorker): a WorkerPool chunk, so a BatchSolve
+/// worker, or a PprServer worker. Auto-sized stages there (a solver's
+/// walk phase under threads=0) run serially on that thread instead of
+/// oversubscribing; explicit ParallelForThreads counts are unaffected.
 unsigned ParallelThreadCount();
 
 /// Runs fn(begin..end) across threads in contiguous chunks:
@@ -72,8 +73,11 @@ unsigned ConfiguredThreadCount();
 
 /// RAII marker: while alive, the current thread reports itself as a
 /// parallel worker, so auto-sized nested stages (threads=0) resolve to
-/// serial via ParallelThreadCount() == 1. WorkerPool wraps every chunk
-/// execution in one; nothing else should need it.
+/// serial via ParallelThreadCount() == 1. Hold one on every thread that
+/// already counts as one of the thread budget's compute threads: the
+/// WorkerPool wraps every chunk execution in one, and each PprServer
+/// worker holds one for its whole loop, so a served query's threads=0
+/// stages stay on its worker.
 class ScopedParallelWorker {
  public:
   ScopedParallelWorker();

@@ -30,7 +30,9 @@
 #include "eval/query_gen.h"
 #include "graph/generators.h"
 #include "test_util.h"
+#include "util/parallel.h"
 #include "util/rng.h"
+#include "util/worker_pool.h"
 
 namespace ppr {
 namespace {
@@ -709,6 +711,120 @@ TEST(PprServerTest, CancelledWhileQueuedCompletesWithCancelled) {
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(gate_ptr->entered(), 1u);  // the cancelled query never ran
+}
+
+// ---------------------------------------------------------------------
+// The thread budget: a server worker is one of its compute threads
+// ---------------------------------------------------------------------
+
+/// Scores and work counters must match bit for bit; `seconds` is wall
+/// time and is left out.
+void ExpectSameBits(const PprResult& actual, const PprResult& expected,
+                    const std::string& label) {
+  ASSERT_EQ(actual.scores.size(), expected.scores.size()) << label;
+  for (size_t v = 0; v < expected.scores.size(); ++v) {
+    ASSERT_EQ(actual.scores[v], expected.scores[v]) << label << " v=" << v;
+  }
+  EXPECT_EQ(actual.stats.push_operations, expected.stats.push_operations)
+      << label;
+  EXPECT_EQ(actual.stats.edge_pushes, expected.stats.edge_pushes) << label;
+  EXPECT_EQ(actual.stats.iterations, expected.stats.iterations) << label;
+  EXPECT_EQ(actual.stats.random_walks, expected.stats.random_walks) << label;
+  EXPECT_EQ(actual.stats.walk_steps, expected.stats.walk_steps) << label;
+  EXPECT_EQ(actual.stats.final_rsum, expected.stats.final_rsum) << label;
+}
+
+// A served query's auto-sized (threads=0) stages run serially on its
+// worker, as under a BatchSolve worker, and never open a region on the
+// shared pool; a spec with an explicit threads=N still fans out there.
+// Either way the served bits equal a direct serial Solve.
+TEST(PprServerThreadBudgetTest, ThreadsZeroStagesStayOnTheWorker) {
+  // Big enough that both threads=0 solves open a pool region off a
+  // worker: mc's ~18·n·ln(n) walks span many 4,096-walk blocks, and
+  // speedppr's walk phase passes ResidueWalkPhase's 4,096-walk cutoff.
+  Rng rng(2024);
+  const Graph graph = BarabasiAlbert(600, 8, rng);
+  std::vector<PprQuery> queries(8);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    queries[i].source = static_cast<NodeId>((37 * i) % graph.num_nodes());
+  }
+  constexpr uint64_t kBatchSeed = 0x7b0d9e7ULL;
+  const std::string mc = "mc:eps=0.5";
+  const std::string fanned = mc + ",threads=4";
+  const std::vector<std::string> auto_specs = {mc, "speedppr:eps=0.5"};
+  WorkerPool& pool = WorkerPool::Shared();
+
+  // The premise: on a thread that is no worker, the same threads=0
+  // solves fan out whenever ParallelThreadCount() > 1. Under
+  // PPR_THREADS=1 nothing auto-sized fans out anywhere, so the served
+  // peaks below read 0 with or without the worker mark.
+  for (const std::string& spec : auto_specs) {
+    auto probe = SolverRegistry::Global().Create(spec);
+    ASSERT_TRUE(probe.ok()) << spec;
+    ASSERT_TRUE(probe.value()->Prepare(graph).ok()) << spec;
+    SolverContext context(1);
+    pool.ResetPeak();
+    for (const PprQuery& query : queries) {
+      PprResult result;
+      ASSERT_TRUE(probe.value()->Solve(query, context, &result).ok()) << spec;
+    }
+    if (ParallelThreadCount() > 1) {
+      EXPECT_GT(pool.peak_executors(), 0u) << spec;
+    }
+  }
+
+  PprServerOptions options;
+  options.workers = 2;
+  PprServer server(options);
+  for (const std::string& spec : auto_specs) {
+    ASSERT_TRUE(server.AddSolver(spec, graph).ok()) << spec;
+  }
+  ASSERT_TRUE(server.AddSolver(fanned, graph).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  // SolveBatch seeds entry i with SplitStream(seed, i); the reference
+  // answers each entry at threads=1 on this thread.
+  auto expect_serial_bits = [&](const std::string& spec,
+                                const std::string& serial_spec,
+                                const std::vector<PprResult>& rows) {
+    auto serial = SolverRegistry::Global().Create(serial_spec);
+    ASSERT_TRUE(serial.ok()) << serial_spec;
+    ASSERT_TRUE(serial.value()->Prepare(graph).ok()) << serial_spec;
+    ASSERT_EQ(rows.size(), queries.size()) << spec;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      SolverContext context(SplitStream(kBatchSeed, i).NextUint64());
+      PprResult expected;
+      ASSERT_TRUE(serial.value()->Solve(queries[i], context, &expected).ok());
+      ExpectSameBits(rows[i], expected, spec + " i=" + std::to_string(i));
+    }
+  };
+
+  std::vector<PprResult> mc_rows;
+  for (const std::string& spec : auto_specs) {
+    std::vector<PprResult> rows;
+    pool.ResetPeak();
+    const Status status = server.SolveBatch(queries, &rows, spec, kBatchSeed);
+    ASSERT_TRUE(status.ok()) << spec << ": " << status.ToString();
+    EXPECT_EQ(pool.peak_executors(), 0u)
+        << spec << ": a threads=0 stage left its server worker";
+    expect_serial_bits(spec, spec + ",threads=1", rows);
+    if (spec == mc) mc_rows = std::move(rows);
+  }
+
+  // An explicit count still fans out, and mc's walk loop gives the same
+  // bits at every thread count.
+  std::vector<PprResult> fanned_rows;
+  pool.ResetPeak();
+  const Status status =
+      server.SolveBatch(queries, &fanned_rows, fanned, kBatchSeed);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_GT(pool.peak_executors(), 0u);
+  expect_serial_bits(fanned, mc + ",threads=1", fanned_rows);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ExpectSameBits(fanned_rows[i], mc_rows[i],
+                   "threads=4 vs threads=0, i=" + std::to_string(i));
+  }
+  server.Stop();
 }
 
 // ---------------------------------------------------------------------
