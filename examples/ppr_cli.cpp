@@ -25,13 +25,8 @@
 //     --duration=5       seconds of load
 //     --serve-workers=0  server worker threads (0 = thread budget)
 //     --serve-queue=1024 bounded queue capacity
-//     --shards=1         >1 serves through a sharded tier instead
-//     --partition=hash   node-ownership scheme (hash, range, degree)
-// A sharded tier sends each query to the shard that owns its source.
-// Each shard holds its own solver replica, and so its own solver lock.
-// That pays for a solver whose Solve serializes on a lock, such as
-// dynfwdpush. For any other solver, one server with
-// --serve-workers=shards*workers does the same work with one replica.
+// To serve more reads, raise --serve-workers: every worker answers from
+// the one prepared solver.
 //
 // Every solver is dispatched through SolverRegistry — run with --help to
 // see the registered names and their option keys. The spec may carry
@@ -57,9 +52,7 @@
 #include "eval/query_gen.h"
 #include "graph/datasets.h"
 #include "graph/edge_list_io.h"
-#include "graph/partition.h"
 #include "serve/ppr_server.h"
-#include "serve/sharded_server.h"
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -76,17 +69,15 @@ bool IsDatasetName(const std::string& name) {
 }
 
 /// Open-loop load: --qps paces submissions (0 floods) until --duration
-/// elapses. Works against PprServer and ShardedPprServer alike — both
-/// speak Submit → PprFuture. Rejected submissions (full queue) are
-/// counted by the server, not retried.
+/// elapses. Rejected submissions (full queue) are counted by the server,
+/// not retried.
 struct OpenLoopLoad {
   uint64_t fired = 0;
   std::vector<PprFuture> futures;
   double wall = 0.0;
 };
 
-template <typename Server>
-OpenLoopLoad DriveOpenLoop(Server& server, const Graph& graph, double qps,
+OpenLoopLoad DriveOpenLoop(PprServer& server, const Graph& graph, double qps,
                            double duration) {
   OpenLoopLoad load;
   Rng rng(20260731);
@@ -134,72 +125,6 @@ void PrintLatencies(const std::vector<PprFuture>& futures) {
               Percentile(latencies, 50.0) * 1e3,
               Percentile(latencies, 99.0) * 1e3,
               Percentile(latencies, 100.0) * 1e3);
-}
-
-/// --serve with --shards > 1: the same load probe against a sharded
-/// tier — N in-process PprServer shards, each query routed to the owner
-/// of its source under a --partition split of the graph — reporting the
-/// aggregated (cross-shard) counter taxonomy.
-int RunShardedServeMode(const std::string& algo, const Graph& graph,
-                        double qps, double duration, uint64_t workers,
-                        uint64_t queue_capacity, uint64_t shards,
-                        const std::string& partition) {
-  auto scheme = ParsePartitionScheme(partition);
-  if (!scheme.ok()) {
-    std::fprintf(stderr, "serve: %s\n", scheme.status().ToString().c_str());
-    return 1;
-  }
-  ShardedPprServerOptions options;
-  options.shards = static_cast<size_t>(shards);
-  options.partition = scheme.value();
-  options.shard.workers = static_cast<unsigned>(workers);
-  options.shard.queue_capacity = static_cast<size_t>(queue_capacity);
-  ShardedPprServer server(options);
-  Status added = server.AddSolver(algo, graph);
-  if (!added.ok()) {
-    std::fprintf(stderr, "serve: %s\n", added.ToString().c_str());
-    return 1;
-  }
-  Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "serve: %s\n", started.ToString().c_str());
-    return 1;
-  }
-  char qps_text[32] = "unlimited";
-  if (qps > 0) std::snprintf(qps_text, sizeof(qps_text), "%g", qps);
-  const PartitionReport& report = server.partition().report();
-  std::printf("serving %s: shards=%zu partition=%s cut=%.1f%% "
-              "workers/shard=%u queue/shard=%zu qps=%s duration=%.1fs\n",
-              algo.c_str(), server.num_shards(),
-              std::string(PartitionSchemeName(scheme.value())).c_str(),
-              report.cut_fraction * 100.0, options.shard.workers,
-              options.shard.queue_capacity, qps_text, duration);
-
-  OpenLoopLoad load = DriveOpenLoop(server, graph, qps, duration);
-  server.Stop();
-
-  const ShardedPprServerStats stats = server.Snapshot();
-  std::printf("aggregated: submitted=%llu rejected=%llu completed=%llu "
-              "failed=%llu shed=%llu cancelled=%llu updates=%llu "
-              "(fired %llu)\n",
-              static_cast<unsigned long long>(stats.total.submitted),
-              static_cast<unsigned long long>(stats.total.rejected),
-              static_cast<unsigned long long>(stats.total.completed),
-              static_cast<unsigned long long>(stats.total.failed),
-              static_cast<unsigned long long>(stats.total.shed),
-              static_cast<unsigned long long>(stats.total.cancelled),
-              static_cast<unsigned long long>(stats.updates_applied),
-              static_cast<unsigned long long>(load.fired));
-  for (size_t s = 0; s < stats.per_shard.size(); ++s) {
-    std::printf("  shard %zu: submitted=%llu completed=%llu\n", s,
-                static_cast<unsigned long long>(stats.per_shard[s].submitted),
-                static_cast<unsigned long long>(stats.per_shard[s].completed));
-  }
-  std::printf("throughput: %.1f queries/s over %.2fs\n",
-              static_cast<double>(stats.total.completed) / load.wall,
-              load.wall);
-  PrintLatencies(load.futures);
-  return 0;
 }
 
 /// --serve: open-loop load generation against a PprServer hosting the
@@ -293,8 +218,6 @@ int main(int argc, char** argv) {
   double duration = 5.0;
   uint64_t serve_workers = 0;
   uint64_t serve_queue = 1024;
-  uint64_t shards = 1;
-  std::string partition = "hash";
 
   FlagParser parser;
   parser.AddString("algo", &algo,
@@ -315,10 +238,6 @@ int main(int argc, char** argv) {
                    "serve: worker threads (0 = thread budget)");
   parser.AddUint64("serve-queue", &serve_queue,
                    "serve: bounded queue capacity");
-  parser.AddUint64("shards", &shards,
-                   "serve: shard count (>1 runs a sharded tier)");
-  parser.AddString("partition", &partition,
-                   "serve: node-ownership scheme (hash, range, degree)");
 
   Status parse_status = parser.Parse(argc, argv);
   if (!parse_status.ok()) {
@@ -359,10 +278,6 @@ int main(int argc, char** argv) {
     std::printf("graph: n=%u m=%llu | serve --algo=%s\n", graph.num_nodes(),
                 static_cast<unsigned long long>(graph.num_edges()),
                 algo.c_str());
-    if (shards > 1) {
-      return RunShardedServeMode(algo, graph, qps, duration, serve_workers,
-                                 serve_queue, shards, partition);
-    }
     return RunServeMode(algo, graph, qps, duration, serve_workers,
                         serve_queue);
   }

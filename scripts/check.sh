@@ -51,14 +51,11 @@ done
 # BatchTopKEarlyTest for the threaded kernel, BatchQueueTest /
 # PprServerBatchTest for queue coalescing), which races multi-threaded
 # SolveMany blocks and worker-side batch draining against the queue and
-# epoch barrier. The sharded tier (Sharded* suites) races the owner-
-# routing front-end — tier-wide seed derivation, the per-spec update
-# order mutex that walks ApplyUpdates across the shards, and the sharded
-# chaos/bounded-drain paths — against N concurrent PprServer shards.
-# DynamicConcurrentReadTest calls Solve on one dynamic solver from
-# several threads: cold tracker builds outside the solver lock, racing
-# first reads of one source, and warm copies of maintained estimates.
-TSAN_FILTER='WorkerPool*:ThreadBudget*:PprServer*:ParallelFor*:Batch*:DynamicResize*:DynamicConcurrent*:Sharded*'
+# epoch barrier. DynamicConcurrentReadTest calls Solve on one dynamic
+# solver from several threads: cold tracker builds outside the solver
+# lock, racing first reads of one source, and warm copies of maintained
+# estimates.
+TSAN_FILTER='WorkerPool*:ThreadBudget*:PprServer*:ParallelFor*:Batch*:DynamicResize*:DynamicConcurrent*'
 
 case "${MODE}" in
   tidy)

@@ -14,9 +14,6 @@ namespace ppr {
 /// Sentinel for PprQuery::target: "this is a whole-vector query".
 inline constexpr NodeId kNoTarget = ~NodeId{0};
 
-/// Sentinel for PprResult::shard: not served by a sharded tier.
-inline constexpr int32_t kShardNone = -1;
-
 /// One SSPPR query, understood by every solver behind the unified API.
 ///
 /// Numeric fields use 0 (or kNoTarget) as "unset": an unset field falls
@@ -101,12 +98,6 @@ struct PprResult {
   /// solver the query would normally route to. Always false outside the
   /// serving tier. See docs/serving.md, "Load shedding & degraded mode".
   bool degraded = false;
-
-  /// Which shard of a sharded serving tier answered: the index of the
-  /// shard that owns the query's source, or kShardNone (-1) — the
-  /// default — everywhere outside the sharded tier. See
-  /// docs/serving.md, "Sharded serving".
-  int32_t shard = -1;
 
   bool has_residues() const { return !residues.empty(); }
 };

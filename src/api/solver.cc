@@ -102,7 +102,6 @@ Status Solver::Solve(const PprQuery& query, SolverContext& context,
   result->stats = SolveStats{};
   result->epoch = 0;  // dynamic solvers stamp their epoch in DoSolve
   result->degraded = false;
-  result->shard = kShardNone;  // the serving tier re-stamps on success
   if (perm_.empty()) {
     PPR_RETURN_IF_ERROR(DoSolve(query, context, result));
   } else {

@@ -794,6 +794,7 @@ class MonteCarloSolver : public Solver {
     options.mu = params_.Mu(query, n);
     options.threads = threads();
     options.cancel = context.cancel_token();
+    PPR_RETURN_IF_ERROR(CheckWalkCount(n, options.epsilon, options.mu));
     std::vector<double>* scores = context.AcquireScores(n);
     // Scratch feeds only the dense-counts branch; the stop-list branch
     // would leave O(n·workers) buffers pinned unused.
@@ -852,10 +853,16 @@ class TwoPhaseSolver : public BatchSolver {
   }
 
   Status Prepare(const Graph& graph) override {
+    // FORA+ sizing depends on W and therefore on the ε the index is
+    // built for (§6.1); smaller index_eps serves every larger ε.
+    const NodeId n = graph.num_nodes();
+    const double index_eps = index_eps_ > 0 ? index_eps_ : params_.epsilon;
+    if (indexed_ && kind_ == Kind::kFora) {
+      PPR_RETURN_IF_ERROR(CheckWalkCount(n, index_eps, params_.Mu({}, n)));
+    }
     PPR_RETURN_IF_ERROR(Solver::Prepare(graph));
     index_.reset();
     if (!indexed_) return Status::OK();
-    const NodeId n = graph_->num_nodes();
     WalkIndex::Sizing sizing;
     uint64_t w;
     if (kind_ == Kind::kSpeedPpr) {
@@ -863,11 +870,8 @@ class TwoPhaseSolver : public BatchSolver {
       sizing = WalkIndex::Sizing::kSpeedPpr;
       w = 0;
     } else {
-      // FORA+ sizing depends on W and therefore on the ε the index is
-      // built for (§6.1); smaller index_eps serves every larger ε.
       sizing = WalkIndex::Sizing::kForaPlus;
-      const double eps = index_eps_ > 0 ? index_eps_ : params_.epsilon;
-      w = ChernoffWalkCount(n, eps, params_.Mu({}, n));
+      w = ChernoffWalkCount(n, index_eps, params_.Mu({}, n));
     }
     // cache_dir=: reuse a previously saved index whose filename matches
     // every build input; otherwise build and save for the next Prepare.
@@ -943,6 +947,7 @@ class TwoPhaseSolver : public BatchSolver {
     options.mu = params_.Mu(query, n);
     options.threads = threads();
     options.cancel = context.cancel_token();
+    PPR_RETURN_IF_ERROR(CheckWalkCount(n, options.epsilon, options.mu));
 
     // The compositions live in SpeedPprInto/ForaInto — shared with the
     // free functions, so the two entry points cannot drift.
@@ -999,18 +1004,20 @@ class TwoPhaseSolver : public BatchSolver {
     PPR_CHECK(serial_rng != nullptr || seeds.size() == queries.size());
     const NodeId n = graph_->num_nodes();
     const size_t B = queries.size();
-    // Per-query alpha overrides are rejected per query when indexed —
-    // columns are independent, so siblings keep their block slot.
+    // Per-query alpha overrides (when indexed) and ε/μ overrides whose
+    // W does not fit are rejected per query — columns are independent,
+    // so siblings keep their block slot.
     std::vector<size_t> live;
     live.reserve(B);
     for (size_t b = 0; b < B; ++b) {
-      if (indexed_ && queries[b].alpha > 0 &&
-          queries[b].alpha != params_.alpha) {
+      const PprQuery& q = queries[b];
+      if (indexed_ && q.alpha > 0 && q.alpha != params_.alpha) {
         statuses[b] = Status::InvalidArgument(
             "the walk index is bound to alpha=" +
             std::to_string(params_.alpha) + "; recreate with the alpha option");
       } else {
-        live.push_back(b);
+        statuses[b] = CheckWalkCount(n, params_.Epsilon(q), params_.Mu(q, n));
+        if (statuses[b].ok()) live.push_back(b);
       }
     }
     if (live.empty()) return Status::OK();
@@ -1136,8 +1143,13 @@ class DynTwoPhaseSolver : public DynamicPoolSolver {
   }
 
   Status Prepare(const Graph& graph) override {
+    const NodeId n = graph.num_nodes();
+    const double index_eps = index_eps_ > 0 ? index_eps_ : params_.epsilon;
+    PPR_RETURN_IF_ERROR(CheckWalkCount(n, params_.epsilon, params_.Mu({}, n)));
+    if (kind_ == Kind::kFora) {
+      PPR_RETURN_IF_ERROR(CheckWalkCount(n, index_eps, params_.Mu({}, n)));
+    }
     PPR_RETURN_IF_ERROR(Solver::Prepare(graph));
-    const NodeId n = graph_->num_nodes();
     walk_count_w_ =
         ChernoffWalkCount(n, params_.epsilon, params_.Mu({}, n));
     const double rmax =
@@ -1154,8 +1166,7 @@ class DynTwoPhaseSolver : public DynamicPoolSolver {
     } else {
       // FORA+ sizing at the index ε (≤ the serving ε tops up less).
       sizing = WalkIndex::Sizing::kForaPlus;
-      const double eps = index_eps_ > 0 ? index_eps_ : params_.epsilon;
-      index_w = ChernoffWalkCount(n, eps, params_.Mu({}, n));
+      index_w = ChernoffWalkCount(n, index_eps, params_.Mu({}, n));
     }
     index_ = std::make_unique<DynamicWalkIndex>(
         *graph_, params_.alpha, sizing, index_w, index_seed_, drift_factor_);
@@ -1319,6 +1330,8 @@ class ResAccSolver : public Solver {
     options.mu = params_.Mu(query, graph_->num_nodes());
     options.threads = threads();
     options.cancel = context.cancel_token();
+    PPR_RETURN_IF_ERROR(
+        CheckWalkCount(graph_->num_nodes(), options.epsilon, options.mu));
     result->stats = ResAcc(*graph_, query.source, options, context.rng(),
                            &result->scores);
     return Status::OK();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "approx/random_walk.h"
 #include "util/parallel.h"
@@ -16,15 +17,37 @@ namespace {
 /// thread-count invariant.
 constexpr uint64_t kWalkBlock = 1 << 12;
 
+/// Walk counts stay below 2^63, so rounding W up to whole walk blocks
+/// or summing per-node walk counts cannot wrap a uint64_t.
+constexpr double kMaxWalkCount = 0x1p63;
+
+/// Equation (12) before rounding.
+double ChernoffWalks(NodeId n, double epsilon, double mu) {
+  return 2.0 * (2.0 * epsilon / 3.0 + 2.0) * std::log(n) /
+         (epsilon * epsilon * mu);
+}
+
 }  // namespace
 
 uint64_t ChernoffWalkCount(NodeId n, double epsilon, double mu) {
   PPR_CHECK(n >= 2);
   PPR_CHECK(epsilon > 0.0);
   PPR_CHECK(mu > 0.0);
-  double w = 2.0 * (2.0 * epsilon / 3.0 + 2.0) * std::log(n) /
-             (epsilon * epsilon * mu);
-  return static_cast<uint64_t>(std::ceil(w));
+  const double w = std::ceil(ChernoffWalks(n, epsilon, mu));
+  PPR_CHECK(w < kMaxWalkCount) << "W=" << w << " walks; see CheckWalkCount";
+  return static_cast<uint64_t>(w);
+}
+
+Status CheckWalkCount(NodeId n, double epsilon, double mu) {
+  if (n < 2) return Status::OK();  // log n <= 0: no walks to count
+  const double w = ChernoffWalks(n, epsilon, mu);
+  if (w < kMaxWalkCount) return Status::OK();
+  char message[160];
+  std::snprintf(message, sizeof(message),
+                "eps=%g and mu=%g ask for %.3g random walks, more than the "
+                "2^63 a query can count; raise eps or mu",
+                epsilon, mu, w);
+  return Status::InvalidArgument(message);
 }
 
 SolveStats MonteCarlo(const Graph& graph, NodeId source,

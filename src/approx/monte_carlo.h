@@ -7,6 +7,7 @@
 #include "graph/graph.h"
 #include "util/cancellation.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace ppr {
 
@@ -35,8 +36,14 @@ struct ApproxOptions {
 };
 
 /// Number of walks W required by the Chernoff bound, Equation (12):
-/// W = 2(2ε/3 + 2)·log n / (ε²·μ).
+/// W = 2(2ε/3 + 2)·log n / (ε²·μ). W must be below 2^63; a caller
+/// that takes ε or μ from its input runs CheckWalkCount first.
 uint64_t ChernoffWalkCount(NodeId n, double epsilon, double mu);
+
+/// OK when Equation (12) gives fewer than 2^63 walks for (n, ε, μ);
+/// InvalidArgument otherwise. A tiny ε or μ asks for more walks than
+/// a query can count, let alone run.
+Status CheckWalkCount(NodeId n, double epsilon, double mu);
 
 /// True when MonteCarloInto's parallel path will use the dense
 /// per-worker stop counts (and therefore read `thread_scratch`). The

@@ -42,7 +42,6 @@ std::string FormatGraphStats(const GraphStats& stats) {
   std::snprintf(buf, sizeof(buf), "%.2f", stats.avg_degree);
   out << buf << " maxd=" << stats.max_out_degree
       << " dead=" << stats.dead_ends;
-  if (stats.ghost_edges > 0) out << " ghost=" << HumanCount(stats.ghost_edges);
   return out.str();
 }
 

@@ -17,16 +17,8 @@ struct GraphStats {
   double avg_degree = 0.0;
   NodeId max_out_degree = 0;
 
-  /// Nodes with out-degree 0. For a partition fragment this counts
-  /// *global* dead ends only — a node whose edges all leave the
-  /// fragment is cut, not dead (see ghost_edges).
+  /// Nodes with out-degree 0.
   NodeId dead_ends = 0;
-
-  /// Edges whose tail is local but whose head lives outside this
-  /// (sub)graph — the fragment's edge-cut contribution. Always 0 for a
-  /// whole graph; filled by GraphPartition for fragments. Kept separate
-  /// from dead_ends so cut edges are never misread as absorbing mass.
-  EdgeId ghost_edges = 0;
   Histogram out_degree_histogram;
 
   /// Fraction of edges incident (as source) to the top 1% highest

@@ -316,12 +316,6 @@ Result<PprFuture> PprServer::Submit(const PprQuery& query,
   return Enqueue(query, solver, seed, /*blocking=*/false);
 }
 
-Result<PprFuture> PprServer::SubmitBlocking(const PprQuery& query,
-                                            std::string_view solver,
-                                            uint64_t seed) {
-  return Enqueue(query, solver, seed, /*blocking=*/true);
-}
-
 Status PprServer::SolveBatch(const std::vector<PprQuery>& queries,
                              std::vector<PprResult>* results,
                              std::string_view solver, uint64_t seed) {
@@ -536,7 +530,6 @@ void PprServer::FinishRequest(internal::ServeRequest& request,
                               PprResult result, bool fused) {
   const bool terminal_ok = status.ok();
   const StatusCode terminal_code = status.code();
-  if (terminal_ok) result.shard = options_.shard_stamp;
   PublishToFuture(*request.state, std::move(status), std::move(result));
 
   {

@@ -132,11 +132,6 @@ struct PprServerOptions {
   /// query is shed exactly as today, never solved. 1 (the default)
   /// disables coalescing.
   size_t max_batch = 1;
-  /// Stamped onto PprResult::shard of every OK result this server
-  /// produces. -1 (the default) means "not part of a sharded tier";
-  /// ShardedPprServer sets it to the shard index so routing decisions
-  /// are observable on the results. See docs/serving.md.
-  int32_t shard_stamp = -1;
 };
 
 /// Point-in-time counters (monotonic except queue_depth).
@@ -263,17 +258,6 @@ class PprServer {
   Result<PprFuture> Submit(const PprQuery& query, std::string_view solver = {},
                            uint64_t seed = 0);
 
-  /// Blocking submission — the admission path SolveBatch uses, exposed
-  /// so batch-style callers (ShardedPprServer::SolveBatch among them)
-  /// can apply the same wait-for-queue-space backpressure per entry.
-  /// Waits for space bounded by the query's deadline (when set) or
-  /// options.batch_admission_budget (0 = indefinitely); exceeding the
-  /// bound fails with DeadlineExceeded. Each backpressured admission
-  /// counts exactly once in Snapshot().rejected.
-  Result<PprFuture> SubmitBlocking(const PprQuery& query,
-                                   std::string_view solver = {},
-                                   uint64_t seed = 0);
-
   /// Synchronous batch path: admits every query (waiting for queue space
   /// instead of rejecting), blocks until all finish, and fills `results`
   /// aligned with `queries`. Per-entry seed i is SplitStream(seed, i)
@@ -311,8 +295,8 @@ class PprServer {
   /// covers the whole struct, so no field can be torn against another
   /// (reading Snapshot().submitted and Snapshot().completed as two calls
   /// can observe a query between its admission and its terminal
-  /// counter). Aggregation across shards and any submitted-vs-terminal
-  /// arithmetic must use the fields of one call.
+  /// counter). Any submitted-vs-terminal arithmetic must use the fields
+  /// of one call.
   PprServerStats Snapshot() const PPR_EXCLUDES(mu_);
 
   std::vector<std::string> solver_names() const PPR_EXCLUDES(mu_);

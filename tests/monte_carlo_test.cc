@@ -28,6 +28,12 @@ TEST(ChernoffWalkCountTest, ShrinksWithLargerEpsilonAndMu) {
             ChernoffWalkCount(1000, 0.5, 1e-3));
 }
 
+TEST(ChernoffWalkCountDeathTest, RefusesACountThatDoesNotFit) {
+  // eps = 1e-9 on 120 nodes asks for ~3e19 walks: past 2^63, and past
+  // what the cast to uint64_t can represent.
+  EXPECT_DEATH(ChernoffWalkCount(120, 1e-9, 1.0 / 120), "CheckWalkCount");
+}
+
 TEST(ApproxOptionsTest, ResolvedMuDefaultsToOneOverN) {
   ApproxOptions options;
   EXPECT_DOUBLE_EQ(options.ResolvedMu(100), 0.01);

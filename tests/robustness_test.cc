@@ -2,10 +2,13 @@
 // crash library entry points — they either succeed or return a Status.
 
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "api/context.h"
+#include "api/registry.h"
 #include "approx/walk_index.h"
 #include "core/power_push.h"
 #include "graph/edge_list_io.h"
@@ -209,6 +212,62 @@ TEST(RobustnessTest, SolversSurviveEverySourceOfATinyGraph) {
       ASSERT_NEAR(estimate.reserve[v], exact[v], 1e-6)
           << "s=" << s << " v=" << v;
     }
+  }
+}
+
+TEST(RobustnessTest, WalkCountOverflowIsInvalidArgument) {
+  // On a 120-node cycle, eps = 1e-9 asks Equation (12) for ~3e19 walks
+  // and mu = 1e-30 for ~9e31: more than a uint64_t counts. Each solver
+  // that resolves W from eps and mu must refuse with InvalidArgument —
+  // at Prepare when the spec fixes W there, at Solve otherwise — and
+  // never answer OK from zero walks.
+  struct Case {
+    const char* spec;
+    bool at_prepare;
+  };
+  const Case cases[] = {
+      {"mc", false},
+      {"fora", false},
+      {"speedppr", false},
+      {"resacc", false},
+      {"fora:batch=4", false},
+      {"speedppr:indexed=true", false},
+      {"fora:indexed=true,eps=1e-9", true},
+      {"dynfora:eps=1e-9", true},
+      {"dynspeedppr:eps=1e-9", true},
+  };
+  const Graph g = CycleGraph(120);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.spec);
+    auto created = SolverRegistry::Global().Create(c.spec);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    std::unique_ptr<Solver> solver = std::move(created).ValueOrDie();
+    const Status prepared = solver->Prepare(g);
+    SolverContext context;
+    PprResult result;
+    PprQuery query;
+    query.source = 3;
+    if (c.at_prepare) {
+      EXPECT_EQ(prepared.code(), StatusCode::kInvalidArgument)
+          << prepared.ToString();
+      // A refused Prepare leaves nothing half-built to answer from.
+      EXPECT_EQ(solver->Solve(query, context, &result).code(),
+                StatusCode::kFailedPrecondition);
+      continue;
+    }
+    ASSERT_TRUE(prepared.ok()) << prepared.ToString();
+    PprQuery tiny_eps = query;
+    tiny_eps.epsilon = 1e-9;
+    PprQuery tiny_mu = query;
+    tiny_mu.mu = 1e-30;
+    for (const PprQuery& bad : {tiny_eps, tiny_mu}) {
+      const Status solved = solver->Solve(bad, context, &result);
+      EXPECT_EQ(solved.code(), StatusCode::kInvalidArgument)
+          << solved.ToString();
+    }
+    // The refusals leave the solver serving its default eps.
+    ASSERT_TRUE(solver->Solve(query, context, &result).ok());
+    EXPECT_NEAR(testing::Sum(result.scores), 1.0, 0.2);
   }
 }
 

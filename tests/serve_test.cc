@@ -145,6 +145,8 @@ TEST(PprServerTest, ConcurrentResultsBitIdenticalToSerialForEverySolver) {
         for (unsigned q = 0; q < kQueriesPerClient; ++q) {
           PprQuery query;
           query.source = (c * kQueriesPerClient + q) % graph.num_nodes();
+          query.top_k = 5;
+          query.want_residues = true;
           auto submitted = server.Submit(query, /*solver=*/{},
                                          QuerySeed(c, q));
           ASSERT_TRUE(submitted.ok())
@@ -163,6 +165,8 @@ TEST(PprServerTest, ConcurrentResultsBitIdenticalToSerialForEverySolver) {
 
         PprQuery query;
         query.source = (c * kQueriesPerClient + q) % graph.num_nodes();
+        query.top_k = 5;
+        query.want_residues = true;
         SolverContext context(QuerySeed(c, q));
         PprResult expected;
         ASSERT_TRUE(reference->Solve(query, context, &expected).ok()) << name;
@@ -172,6 +176,16 @@ TEST(PprServerTest, ConcurrentResultsBitIdenticalToSerialForEverySolver) {
           ASSERT_EQ(served.scores[v], expected.scores[v])
               << name << " client=" << c << " q=" << q << " v=" << v;
         }
+        ASSERT_EQ(served.top_nodes, expected.top_nodes)
+            << name << " client=" << c << " q=" << q;
+        ASSERT_EQ(served.residues.size(), expected.residues.size()) << name;
+        for (size_t v = 0; v < expected.residues.size(); ++v) {
+          ASSERT_EQ(served.residues[v], expected.residues[v])
+              << name << " client=" << c << " q=" << q << " v=" << v;
+        }
+        EXPECT_EQ(served.epoch, expected.epoch) << name;
+        EXPECT_EQ(served.solver, expected.solver) << name;
+        EXPECT_EQ(served.l1_bound, expected.l1_bound) << name;
       }
     }
     server.Stop();
