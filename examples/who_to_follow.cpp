@@ -7,24 +7,17 @@
 //   * building the epsilon-independent SpeedPPR walk index once and
 //     serving many users from it,
 //   * ranking with eval/metrics' TopK,
-//   * comparing against the exact ranking from PowerPush,
-//   * the fused multi-source tier: every user advanced through one CSR
-//     traversal per sweep (batch=) with top-k early retirement
-//     (topk_early=), versus the same solver run user by user.
+//   * comparing against the exact ranking from PowerPush.
 //
 // Run:  ./build/examples/who_to_follow [num_users]
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
-#include "api/batch_solver.h"
-#include "api/registry.h"
 #include "approx/speedppr.h"
 #include "core/power_push.h"
 #include "eval/metrics.h"
 #include "eval/query_gen.h"
-#include "eval/topk_query.h"
 #include "graph/datasets.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -84,77 +77,5 @@ int main(int argc, char** argv) {
     for (NodeId r : exact_top) std::printf(" %u", r);
     std::printf("\n  precision@%zu vs exact: %.2f\n\n", kTopK, precision);
   }
-
-  // ---- fused multi-source tier --------------------------------------
-  // One batch=-configured solver answers every user with a single CSR
-  // pass per sweep; topk_early lets a user whose top-k gap already
-  // exceeds their residual bound retire while the rest keep pushing.
-  // The serial baseline runs the *same* spec user by user, so the only
-  // difference is fusion — results are bit-identical by contract.
-  const std::vector<NodeId> users =
-      SampleQuerySources(graph, num_users, /*seed=*/3);
-  NodeId max_followed = 0;
-  for (NodeId user : users) {
-    max_followed = std::max(max_followed, graph.OutDegree(user));
-  }
-  // Over-request so masking the user and their followees afterwards
-  // still leaves kTopK genuine recommendations.
-  const size_t request_k = kTopK + max_followed + 1;
-
-  auto created = SolverRegistry::Global().Create(
-      "fwdpush:rmax=1e-7,batch=64,topk_early=1");
-  if (!created.ok()) {
-    std::printf("fused solver unavailable\n");
-    return 1;
-  }
-  auto solver = std::move(created).ValueOrDie();
-  if (!solver->Prepare(graph).ok()) {
-    std::printf("fused solver unavailable\n");
-    return 1;
-  }
-
-  SolverContext serial_context;
-  Timer serial_timer;
-  std::vector<std::vector<NodeId>> serial_top(users.size());
-  for (size_t i = 0; i < users.size(); ++i) {
-    PprQuery query;
-    query.source = users[i];
-    query.top_k = request_k;
-    PprResult result;
-    if (!solver->Solve(query, serial_context, &result).ok()) return 1;
-    serial_top[i] = std::move(result.top_nodes);
-  }
-  const double serial_ms = serial_timer.ElapsedMillis();
-
-  SolverContext fused_context;
-  Timer fused_timer;
-  const std::vector<TopKResult> fused =
-      TopKPprBatch(*solver->AsBatch(), fused_context, users, request_k);
-  const double fused_ms = fused_timer.ElapsedMillis();
-
-  std::printf("fused tier (%zu users, batch=64, topk_early):\n",
-              users.size());
-  for (size_t i = 0; i < users.size(); ++i) {
-    if (fused[i].nodes != serial_top[i]) {
-      std::printf("  MISMATCH vs serial for user %u\n", users[i]);
-      return 1;
-    }
-    std::printf("  user %u recommend:", users[i]);
-    size_t shown = 0;
-    for (NodeId r : fused[i].nodes) {
-      if (r == users[i]) continue;
-      const auto followees = graph.OutNeighbors(users[i]);
-      if (std::find(followees.begin(), followees.end(), r) !=
-          followees.end()) {
-        continue;
-      }
-      std::printf(" %u", r);
-      if (++shown == kTopK) break;
-    }
-    std::printf("\n");
-  }
-  std::printf("  serial: %.1f ms total, fused: %.1f ms total (%.2fx)\n",
-              serial_ms, fused_ms,
-              fused_ms > 0.0 ? serial_ms / fused_ms : 0.0);
   return 0;
 }

@@ -47,14 +47,12 @@ done
 # against all of the above, the dynamic resize conformance suite
 # (DynamicResizeTest), whose node add/remove batches grow and shrink
 # tracker and walk-index dimensions under the same epoch machinery, and
-# the fused multi-source tier (BatchFusedTest / BatchForaTest /
-# BatchTopKEarlyTest for the threaded kernel, BatchQueueTest /
-# PprServerBatchTest for queue coalescing), which races multi-threaded
-# SolveMany blocks and worker-side batch draining against the queue and
-# epoch barrier. DynamicConcurrentReadTest calls Solve on one dynamic
-# solver from several threads: cold tracker builds outside the solver
-# lock, racing first reads of one source, and warm copies of maintained
-# estimates.
+# the eval batch drivers (BatchSolveTest / BatchPowerPushTest /
+# BatchSpeedPprTest), whose BatchSolve fans queries out with
+# ParallelFor, one context per chunk. DynamicConcurrentReadTest calls
+# Solve on one dynamic solver from several threads: cold tracker builds
+# outside the solver lock, racing first reads of one source, and warm
+# copies of maintained estimates.
 TSAN_FILTER='WorkerPool*:ThreadBudget*:PprServer*:ParallelFor*:Batch*:DynamicResize*:DynamicConcurrent*'
 
 case "${MODE}" in

@@ -50,14 +50,6 @@ ThreadDenseBuffers* SolverContext::AcquireThreadBuffers(unsigned count,
   return &thread_buffers_;
 }
 
-std::vector<double>* SolverContext::AcquireBlockScratch(size_t slot,
-                                                        size_t size) {
-  PPR_CHECK(slot < block_scratch_.size());
-  std::vector<double>& buffer = block_scratch_[slot];
-  buffer.assign(size, 0.0);
-  return &buffer;
-}
-
 void SolverContext::ExportEstimate(bool with_residues, PprResult* result) {
   const NodeId n = static_cast<NodeId>(estimate_.reserve.size());
   result->scores.resize(n);

@@ -1,8 +1,6 @@
 #ifndef PPR_API_CONTEXT_H_
 #define PPR_API_CONTEXT_H_
 
-#include <array>
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -78,15 +76,6 @@ class SolverContext {
   /// on first use or shape change.
   ThreadDenseBuffers* AcquireThreadBuffers(unsigned count, NodeId n);
 
-  /// Returns an all-zero length-`size` buffer backing the fused batch
-  /// kernels' flat n·B block matrices (slot 0: reserve, 1: residue,
-  /// 2: sweep double-buffer). No sparse-reset discipline applies — a
-  /// block's support is dense by design, so every call pays one
-  /// O(size) assign, amortized O(n) per fused query. The buffers
-  /// persist on the context, so a warm context reallocates only when
-  /// the block shape grows.
-  std::vector<double>* AcquireBlockScratch(size_t slot, size_t size);
-
   /// Uninitialized-content scratch for the order= layouts' result remap:
   /// Solver::Solve gathers into it and swaps it with the result vector,
   /// so a warm context performs no per-query allocation for the remap.
@@ -145,7 +134,6 @@ class SolverContext {
 
   FifoQueue queue_{0};
   ThreadDenseBuffers thread_buffers_;
-  std::array<std::vector<double>, 3> block_scratch_;
   std::vector<double> remap_scratch_;
 
   uint64_t full_assigns_ = 0;

@@ -12,6 +12,7 @@
 
 namespace ppr {
 
+/// Declared, never defined: only AsBatch() below names it.
 class BatchSolver;
 class DynamicSolver;
 
@@ -125,9 +126,9 @@ class Solver {
   /// ApplyUpdates without downcasting by name.
   virtual DynamicSolver* AsDynamic() { return nullptr; }
 
-  /// The fused-batch interface when the solver was configured with
-  /// batch= > 0, else nullptr — how drivers (PprServer coalescing,
-  /// eval/topk batch runners) reach SolveMany without downcasting.
+  /// Always nullptr: no solver implements the batch interface. Kept
+  /// only because perfbench/src/forwarding_solver.h overrides it;
+  /// delete the two together.
   virtual BatchSolver* AsBatch() { return nullptr; }
 
   // ---- cross-cutting options (set by the registry factories) ----------

@@ -11,22 +11,16 @@
 //    a warm context performs no O(n) assign on repeated queries.
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstddef>
-#include <limits>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 
-#include "api/batch_solver.h"
 #include "api/dynamic_solver.h"
 #include "api/registry.h"
 #include "api/solver.h"
 #include "core/dynamic_ppr.h"
-#include "core/multi_source.h"
 #include "graph/permute.h"
 #include "approx/bippr.h"
 #include "approx/fora.h"
@@ -98,150 +92,16 @@ struct ParamDefaults {
   }
 };
 
-/// Shared body of the fused DoSolveMany paths: builds the flat n·B
-/// block matrices on the context's block scratch, runs the
-/// multi-source kernel, and leaves per-source scores / residues /
-/// stats in `results`. `residue_store` non-null forces residue-column
-/// export into it (FORA's walk phase consumes residues even when the
-/// caller did not ask for them); otherwise residue columns export into
-/// results[b].residues only for queries with want_residues.
-void RunFusedBlock(const Graph& graph, SolverContext& context,
-                   std::span<const PprQuery> queries,
-                   std::span<const CancelToken* const> cancels,
-                   MultiSourceOptions options,
-                   std::span<const NodeId> sources,
-                   std::span<const double> alpha,
-                   std::span<const double> threshold,
-                   std::span<const size_t> top_k,
-                   std::span<PprResult> results,
-                   std::vector<std::vector<double>>* residue_store) {
-  const NodeId n = graph.num_nodes();
-  const size_t B = queries.size();
-  const size_t words = static_cast<size_t>(n) * B;
-  const unsigned threads = options.threads <= 1 ? 1 : options.threads;
-  std::vector<double>* reserve = context.AcquireBlockScratch(0, words);
-  std::vector<double>* residue = context.AcquireBlockScratch(1, words);
-  // The sweep double-buffer only exists on the serial path; the
-  // parallel path rebuilds `residue` in place through ScatterMergeStep.
-  std::vector<double>* next =
-      context.AcquireBlockScratch(2, threads > 1 ? 0 : words);
-  std::vector<double*> score_ptrs(B);
-  std::vector<double*> residue_ptrs(B, nullptr);
-  std::vector<SolveStats> stats(B);
-  for (size_t b = 0; b < B; ++b) {
-    results[b].scores.assign(n, 0.0);
-    score_ptrs[b] = results[b].scores.data();
-    if (residue_store != nullptr) {
-      (*residue_store)[b].assign(n, 0.0);
-      residue_ptrs[b] = (*residue_store)[b].data();
-    } else if (queries[b].want_residues) {
-      results[b].residues.assign(n, 0.0);
-      residue_ptrs[b] = results[b].residues.data();
-    }
-  }
-  options.block_cancel = context.cancel_token();
-  MultiSourceOutputs out;
-  out.scores = score_ptrs;
-  out.residues = residue_ptrs;
-  out.stats = stats;
-  MultiSourceFusedSolve(graph, sources, alpha, threshold, top_k, cancels,
-                        options, *reserve, *residue, *next,
-                        threads > 1
-                            ? context.AcquireThreadBuffers(
-                                  threads, static_cast<NodeId>(words))
-                            : nullptr,
-                        out);
-  for (size_t b = 0; b < B; ++b) results[b].stats = stats[b];
-}
-
-/// The fused-tier dispatch fwdpush and powitr share. batch= > 0 routes
-/// every solve — fused blocks and B=1 alike — through one multi-source
-/// kernel call, so a per-query Solve of the spec stays bit-identical to
-/// its fused block; batch= unset keeps the solver's classic SolveOne.
-/// The two solvers differ only in the kernel mode (push scan vs power
-/// sweeps) and the per-query threshold they hand it (rmax vs λ).
-class FusedSweepSolver : public BatchSolver {
- protected:
-  FusedSweepSolver(ParamDefaults params, size_t batch, bool topk_early,
-                   bool push_mode)
-      : params_(params), topk_early_(topk_early), push_mode_(push_mode) {
-    set_max_fused(batch);
-  }
-
-  /// The classic per-query path, taken when batch= is unset.
-  virtual Status SolveOne(const PprQuery& query, SolverContext& context,
-                          PprResult* result) = 0;
-  /// The kernel's per-query threshold: rmax in push mode, λ otherwise.
-  virtual double Threshold(const PprQuery& query) const = 0;
-
-  /// A top-k-early-retired source stops with rsum above its threshold:
-  /// the top-k *set* is guaranteed, the ℓ1 error is not.
-  bool RetiresEarly(const PprQuery& query) const {
-    return topk_early_ && query.top_k > 0;
-  }
-
-  Status DoSolve(const PprQuery& query, SolverContext& context,
-                 PprResult* result) final {
-    if (max_fused() == 0) return SolveOne(query, context, result);
-    const CancelToken* token = context.cancel_token();
-    std::array<Status, 1> statuses = {Status::OK()};
-    PPR_RETURN_IF_ERROR(DoSolveMany({&query, 1}, {}, {&token, 1}, context,
-                                    {result, 1}, statuses));
-    return statuses[0];
-  }
-
-  Status DoSolveMany(std::span<const PprQuery> queries,
-                     std::span<const uint64_t> /*seeds*/,
-                     std::span<const CancelToken* const> cancels,
-                     SolverContext& context, std::span<PprResult> results,
-                     std::span<Status> /*statuses*/) final {
-    const size_t B = queries.size();
-    std::vector<NodeId> sources(B);
-    std::vector<double> alpha(B);
-    std::vector<double> threshold(B);
-    std::vector<size_t> top_k(B, 0);
-    for (size_t b = 0; b < B; ++b) {
-      sources[b] = queries[b].source;
-      alpha[b] = params_.Alpha(queries[b]);
-      threshold[b] = Threshold(queries[b]);
-      if (topk_early_) top_k[b] = queries[b].top_k;
-    }
-    MultiSourceOptions options;
-    options.push_mode = push_mode_;
-    options.topk_early = topk_early_;
-    options.threads = threads();
-    RunFusedBlock(*graph_, context, queries, cancels, options, sources, alpha,
-                  threshold, top_k, results, nullptr);
-    return Status::OK();
-  }
-
-  const ParamDefaults params_;
-
- private:
-  const bool topk_early_;
-  const bool push_mode_;
-};
-
 // --------------------------------------------------------------------
 // High-precision push family
 // --------------------------------------------------------------------
 
 /// FIFO / priority Forward Push (Algorithm 2 and the max-benefit
 /// ablation variant share everything but the push discipline).
-///
-/// batch= > 0 enables the fused tier and switches the spec — serial
-/// B=1 solves included — onto the multi-source kernel's deterministic
-/// node-ordered scan discipline (same pushes and the same
-/// (m + dead_ends)·rmax certificate as the FIFO order, but a sweep
-/// order independent of batch width, so fused blocks match per-query
-/// solves of the same spec bit-for-bit).
-class ForwardPushSolver : public FusedSweepSolver {
+class ForwardPushSolver : public Solver {
  public:
-  ForwardPushSolver(bool priority, ParamDefaults params, double rmax,
-                    size_t batch, bool topk_early)
-      : FusedSweepSolver(params, batch, topk_early, /*push_mode=*/true),
-        priority_(priority),
-        rmax_(rmax) {}
+  ForwardPushSolver(bool priority, ParamDefaults params, double rmax)
+      : params_(params), priority_(priority), rmax_(rmax) {}
 
   std::string_view name() const override {
     return priority_ ? "prioritypush" : "fwdpush";
@@ -251,11 +111,9 @@ class ForwardPushSolver : public FusedSweepSolver {
     SolverCapabilities caps;
     caps.family = SolverFamily::kHighPrecision;
     caps.exposes_residues = true;
-    // The priority variant allocates its DHeap per solve, and the
-    // fused tier's dense block scratch is a full assign per call, so
-    // only the classic FIFO variant honors the warm-context
-    // no-full-assign contract.
-    caps.reuses_workspace = !priority_ && max_fused() == 0;
+    // The priority variant allocates its DHeap per solve, so only the
+    // FIFO variant honors the warm-context no-full-assign contract.
+    caps.reuses_workspace = !priority_;
     caps.supports_trace = true;
     return caps;
   }
@@ -269,22 +127,21 @@ class ForwardPushSolver : public FusedSweepSolver {
   }
 
   double AdvertisedL1Bound(const PprQuery& query) const override {
-    if (RetiresEarly(query)) return std::numeric_limits<double>::infinity();
     // Termination: every v inactive w.r.t. rmax, so
     // rsum ≤ Σ_v deff(v)·rmax = (m + #dead-ends)·rmax (Equation (7)).
     const double effective_edges =
         static_cast<double>(graph_->num_edges() + dead_ends_);
-    return effective_edges * Threshold(query);
+    return effective_edges * Rmax(query);
   }
 
  protected:
-  Status SolveOne(const PprQuery& query, SolverContext& context,
-                  PprResult* result) override {
+  Status DoSolve(const PprQuery& query, SolverContext& context,
+                 PprResult* result) override {
     const NodeId n = graph_->num_nodes();
     PprEstimate* estimate = context.AcquireEstimate(n, query.source);
     ForwardPushOptions options;
     options.alpha = params_.Alpha(query);
-    options.rmax = Threshold(query);
+    options.rmax = Rmax(query);
     options.assume_initialized = true;
     options.cancel = context.cancel_token();
     if (priority_) {
@@ -299,12 +156,13 @@ class ForwardPushSolver : public FusedSweepSolver {
     return Status::OK();
   }
 
-  double Threshold(const PprQuery& query) const override {
+ private:
+  double Rmax(const PprQuery& query) const {
     if (rmax_ > 0) return rmax_;
     return params_.Lambda(query) / static_cast<double>(graph_->num_edges());
   }
 
- private:
+  const ParamDefaults params_;
   const bool priority_;
   const double rmax_;  // 0 → derive lambda/m per query
   NodeId dead_ends_ = 0;
@@ -390,16 +248,9 @@ class PowerPushSolver : public Solver {
 };
 
 /// Vanilla Power Iteration (§3.1).
-///
-/// batch= > 0 routes every solve — fused blocks and B=1 alike —
-/// through the multi-source kernel, whose power mode replicates this
-/// solver's per-column operation sequence exactly: fused results match
-/// classic serial powitr bit-for-bit at threads<=1 and to the usual
-/// ~1e-12 scatter/merge reassociation at threads>1.
-class PowerIterationSolver : public FusedSweepSolver {
+class PowerIterationSolver : public Solver {
  public:
-  PowerIterationSolver(ParamDefaults params, size_t batch, bool topk_early)
-      : FusedSweepSolver(params, batch, topk_early, /*push_mode=*/false) {}
+  explicit PowerIterationSolver(ParamDefaults params) : params_(params) {}
 
   std::string_view name() const override { return "powitr"; }
 
@@ -416,13 +267,12 @@ class PowerIterationSolver : public FusedSweepSolver {
   }
 
   double AdvertisedL1Bound(const PprQuery& query) const override {
-    if (RetiresEarly(query)) return std::numeric_limits<double>::infinity();
     return params_.Lambda(query);
   }
 
  protected:
-  Status SolveOne(const PprQuery& query, SolverContext& context,
-                  PprResult* result) override {
+  Status DoSolve(const PprQuery& query, SolverContext& context,
+                 PprResult* result) override {
     const NodeId n = graph_->num_nodes();
     PprEstimate* estimate = context.AcquireEstimate(n, query.source);
     PowerIterationOptions options;
@@ -441,9 +291,8 @@ class PowerIterationSolver : public FusedSweepSolver {
     return Status::OK();
   }
 
-  double Threshold(const PprQuery& query) const override {
-    return params_.Lambda(query);
-  }
+ private:
+  const ParamDefaults params_;
 };
 
 /// Global PageRank — the uniform-teleport special case; ignores
@@ -814,29 +663,18 @@ class MonteCarloSolver : public Solver {
 
 /// FORA / FORA+ and SpeedPPR / SpeedPPR-Index share the two-phase
 /// structure; `kind_` picks the phase-1 engine and the index sizing.
-class TwoPhaseSolver : public BatchSolver {
+class TwoPhaseSolver : public Solver {
  public:
   enum class Kind { kFora, kSpeedPpr };
 
-  /// batch= (kFora only, factory-enforced) enables the fused tier: the
-  /// push phases of a block advance together through the multi-source
-  /// scan kernel at each source's own rmax, then every source runs its
-  /// own seeded walk phase. The scan replaces FIFO push for the whole
-  /// spec (B=1 included) so fused and per-query solves of the same
-  /// spec+seed are bit-identical; the scan always runs serially — a
-  /// parallel merge's 1e-15 reassociation would flip ceil(|r|·W) walk
-  /// counts — while the thread-count-invariant walk phases scale.
   TwoPhaseSolver(Kind kind, ParamDefaults params, bool indexed,
-                 double index_eps, uint64_t index_seed, std::string cache_dir,
-                 size_t batch)
+                 double index_eps, uint64_t index_seed, std::string cache_dir)
       : kind_(kind),
         params_(params),
         indexed_(indexed),
         index_eps_(index_eps),
         index_seed_(index_seed),
-        cache_dir_(std::move(cache_dir)) {
-    set_max_fused(batch);
-  }
+        cache_dir_(std::move(cache_dir)) {}
 
   std::string_view name() const override {
     return kind_ == Kind::kFora ? "fora" : "speedppr";
@@ -846,8 +684,7 @@ class TwoPhaseSolver : public BatchSolver {
     SolverCapabilities caps;
     caps.family = SolverFamily::kApproximate;
     caps.randomized = true;
-    // The fused tier's dense block scratch is a full assign per call.
-    caps.reuses_workspace = max_fused() == 0;
+    caps.reuses_workspace = true;
     caps.has_index = indexed_;
     return caps;
   }
@@ -924,16 +761,6 @@ class TwoPhaseSolver : public BatchSolver {
  protected:
   Status DoSolve(const PprQuery& query, SolverContext& context,
                  PprResult* result) override {
-    if (max_fused() > 0) {
-      // The batch= spec answers every query through the fused path
-      // with the context RNG driving the walk phase, so Reseed(seed) +
-      // Solve stays bit-identical to SolveMany with that seed.
-      const CancelToken* token = context.cancel_token();
-      std::array<Status, 1> statuses = {Status::OK()};
-      PPR_RETURN_IF_ERROR(FusedFora({&query, 1}, {}, {&token, 1}, context,
-                                    {result, 1}, statuses, &context.rng()));
-      return statuses[0];
-    }
     const NodeId n = graph_->num_nodes();
     const double alpha = params_.Alpha(query);
     if (indexed_ && query.alpha > 0 && query.alpha != params_.alpha) {
@@ -982,100 +809,7 @@ class TwoPhaseSolver : public BatchSolver {
     return Status::OK();
   }
 
-  Status DoSolveMany(std::span<const PprQuery> queries,
-                     std::span<const uint64_t> seeds,
-                     std::span<const CancelToken* const> cancels,
-                     SolverContext& context, std::span<PprResult> results,
-                     std::span<Status> statuses) override {
-    return FusedFora(queries, seeds, cancels, context, results, statuses,
-                     nullptr);
-  }
-
  private:
-  /// Fused FORA body shared by DoSolveMany (per-query seed streams) and
-  /// the batch= B=1 DoSolve (`serial_rng` = the context RNG, so
-  /// Reseed(seed)+Solve equals SolveMany at that seed bit-for-bit).
-  Status FusedFora(std::span<const PprQuery> queries,
-                   std::span<const uint64_t> seeds,
-                   std::span<const CancelToken* const> cancels,
-                   SolverContext& context, std::span<PprResult> results,
-                   std::span<Status> statuses, Rng* serial_rng) {
-    PPR_CHECK(kind_ == Kind::kFora);
-    PPR_CHECK(serial_rng != nullptr || seeds.size() == queries.size());
-    const NodeId n = graph_->num_nodes();
-    const size_t B = queries.size();
-    // Per-query alpha overrides (when indexed) and ε/μ overrides whose
-    // W does not fit are rejected per query — columns are independent,
-    // so siblings keep their block slot.
-    std::vector<size_t> live;
-    live.reserve(B);
-    for (size_t b = 0; b < B; ++b) {
-      const PprQuery& q = queries[b];
-      if (indexed_ && q.alpha > 0 && q.alpha != params_.alpha) {
-        statuses[b] = Status::InvalidArgument(
-            "the walk index is bound to alpha=" +
-            std::to_string(params_.alpha) + "; recreate with the alpha option");
-      } else {
-        statuses[b] = CheckWalkCount(n, params_.Epsilon(q), params_.Mu(q, n));
-        if (statuses[b].ok()) live.push_back(b);
-      }
-    }
-    if (live.empty()) return Status::OK();
-
-    const size_t num_live = live.size();
-    std::vector<PprQuery> sub_queries(num_live);
-    std::vector<const CancelToken*> sub_cancels(num_live, nullptr);
-    std::vector<NodeId> sources(num_live);
-    std::vector<double> alpha(num_live);
-    std::vector<double> threshold(num_live);
-    std::vector<uint64_t> walk_w(num_live);
-    for (size_t j = 0; j < num_live; ++j) {
-      const PprQuery& q = queries[live[j]];
-      sub_queries[j] = q;
-      if (!cancels.empty()) sub_cancels[j] = cancels[live[j]];
-      sources[j] = q.source;
-      alpha[j] = params_.Alpha(q);
-      walk_w[j] = ChernoffWalkCount(n, params_.Epsilon(q), params_.Mu(q, n));
-      threshold[j] = ForaRmax(*graph_, walk_w[j]);
-    }
-    std::vector<PprResult> sub_results(num_live);
-    std::vector<std::vector<double>> residue_store(num_live);
-    MultiSourceOptions options;
-    options.push_mode = true;
-    // Serial scan only (see the class comment): a parallel merge's
-    // 1e-15 reassociation would flip ceil(|r|·W) walk counts and break
-    // the bit-identical fused == serial contract.
-    options.threads = 1;
-    RunFusedBlock(*graph_, context, sub_queries, sub_cancels, options, sources,
-                  alpha, threshold, /*top_k=*/{}, sub_results, &residue_store);
-
-    const CancelToken* block_token = context.cancel_token();
-    for (size_t j = 0; j < num_live; ++j) {
-      PprResult& r = sub_results[j];
-      const CancelToken* token = sub_cancels[j];
-      // A source stopped during the push phase has partial columns:
-      // skip its walks — the SolveMany wrapper fails it on post-check.
-      if ((token != nullptr && token->ShouldStop()) ||
-          (block_token != nullptr && block_token->ShouldStop())) {
-        results[live[j]] = std::move(r);
-        continue;
-      }
-      // r.scores already holds the reserve column (the fused analogue
-      // of SeedScoresFromReserve); the walk phase refines it in place.
-      if (serial_rng != nullptr) {
-        ResidueWalkPhase(*graph_, residue_store[j], walk_w[j], alpha[j],
-                         *serial_rng, index_.get(), &r.scores, &r.stats,
-                         threads(), token);
-      } else {
-        Rng rng(seeds[live[j]]);
-        ResidueWalkPhase(*graph_, residue_store[j], walk_w[j], alpha[j], rng,
-                         index_.get(), &r.scores, &r.stats, threads(), token);
-      }
-      results[live[j]] = std::move(r);
-    }
-    return Status::OK();
-  }
-
   const Kind kind_;
   const ParamDefaults params_;
   const bool indexed_;
@@ -1492,40 +1226,19 @@ Result<std::unique_ptr<Solver>> FinishSolver(const CommonOptions& common,
   return solver;
 }
 
-/// Shared validation for the fused-tier options.
-Status ValidateBatchOptions(uint64_t batch, bool topk_early) {
-  if (batch > 4096) {
-    return Status::InvalidArgument(
-        "option 'batch' expects at most 4096 fused sources");
-  }
-  if (topk_early && batch == 0) {
-    return Status::InvalidArgument(
-        "option 'topk_early' requires batch= > 0 (it is a fused-tier "
-        "retirement rule)");
-  }
-  return Status::OK();
-}
-
 Result<std::unique_ptr<Solver>> MakeForwardPush(const SolverSpec& spec,
                                                 bool priority) {
   ParamDefaults params;
   double rmax = 0.0;
-  uint64_t batch = 0;
-  bool topk_early = false;
   CommonOptions common;
   OptionReader reader(spec);
   common.Read(reader);
   reader.Double("alpha", &params.alpha)
       .Double("lambda", &params.lambda)
       .Double("rmax", &rmax);
-  if (!priority) {
-    // The fused tier's scan discipline has no priority analogue.
-    reader.Uint64("batch", &batch).Bool("topk_early", &topk_early);
-  }
   PPR_RETURN_IF_ERROR(reader.Finish());
-  PPR_RETURN_IF_ERROR(ValidateBatchOptions(batch, topk_early));
   return FinishSolver(common, std::unique_ptr<Solver>(new ForwardPushSolver(
-                                  priority, params, rmax, batch, topk_early)));
+                                  priority, params, rmax)));
 }
 
 Result<std::unique_ptr<Solver>> MakeDynFwdPush(const SolverSpec& spec) {
@@ -1568,19 +1281,13 @@ Result<std::unique_ptr<Solver>> MakePowerPush(const SolverSpec& spec) {
 
 Result<std::unique_ptr<Solver>> MakePowerIteration(const SolverSpec& spec) {
   ParamDefaults params;
-  uint64_t batch = 0;
-  bool topk_early = false;
   CommonOptions common;
   OptionReader reader(spec);
   common.Read(reader);
-  reader.Double("alpha", &params.alpha)
-      .Double("lambda", &params.lambda)
-      .Uint64("batch", &batch)
-      .Bool("topk_early", &topk_early);
+  reader.Double("alpha", &params.alpha).Double("lambda", &params.lambda);
   PPR_RETURN_IF_ERROR(reader.Finish());
-  PPR_RETURN_IF_ERROR(ValidateBatchOptions(batch, topk_early));
-  return FinishSolver(common, std::unique_ptr<Solver>(new PowerIterationSolver(
-                                  params, batch, topk_early)));
+  return FinishSolver(common,
+                      std::unique_ptr<Solver>(new PowerIterationSolver(params)));
 }
 
 Result<std::unique_ptr<Solver>> MakePageRank(const SolverSpec& spec) {
@@ -1629,7 +1336,6 @@ Result<std::unique_ptr<Solver>> MakeTwoPhase(const SolverSpec& spec,
   bool indexed = default_indexed;
   double index_eps = 0.0;
   uint64_t seed = SolverContext::kDefaultSeed;
-  uint64_t batch = 0;
   std::string cache_dir;
   CommonOptions common;
   OptionReader reader(spec);
@@ -1646,13 +1352,9 @@ Result<std::unique_ptr<Solver>> MakeTwoPhase(const SolverSpec& spec,
     reader.Bool("indexed", &indexed);
   }
   if (kind == TwoPhaseSolver::Kind::kFora) {
-    // batch= is a FORA-only fused tier: SpeedPPR's PowerPush scan has
-    // its own epoch schedule that the multi-source kernel does not
-    // replicate, so it keeps classic execution.
-    reader.Double("index_eps", &index_eps).Uint64("batch", &batch);
+    reader.Double("index_eps", &index_eps);
   }
   PPR_RETURN_IF_ERROR(reader.Finish());
-  PPR_RETURN_IF_ERROR(ValidateBatchOptions(batch, /*topk_early=*/false));
   if (!cache_dir.empty() && !indexed) {
     return Status::InvalidArgument(
         "option 'cache_dir' needs an index; use the -index variant or "
@@ -1660,7 +1362,7 @@ Result<std::unique_ptr<Solver>> MakeTwoPhase(const SolverSpec& spec,
   }
   return FinishSolver(common, std::unique_ptr<Solver>(new TwoPhaseSolver(
                                   kind, params, indexed, index_eps, seed,
-                                  std::move(cache_dir), batch)));
+                                  std::move(cache_dir))));
 }
 
 Result<std::unique_ptr<Solver>> MakeDynTwoPhase(const SolverSpec& spec,
@@ -1743,7 +1445,7 @@ void RegisterBuiltinSolvers(SolverRegistry* registry) {
   // order= options (see CommonOptions / docs/api.md).
   registry->Register(
       {"fwdpush", "FIFO Forward Push (Algorithm 2), l1 <= m*rmax",
-       "alpha, lambda, rmax, batch, topk_early, threads, order",
+       "alpha, lambda, rmax, threads, order",
        [](const SolverSpec& s) { return MakeForwardPush(s, false); }});
   registry->Register(
       {"prioritypush", "max-benefit-first Forward Push (push ablation)",
@@ -1759,7 +1461,7 @@ void RegisterBuiltinSolvers(SolverRegistry* registry) {
        "threads, order",
        MakePowerPush});
   registry->Register({"powitr", "vanilla Power Iteration (Section 3.1)",
-                      "alpha, lambda, batch, topk_early, threads, order",
+                      "alpha, lambda, threads, order",
                       MakePowerIteration});
   registry->Register({"pagerank",
                       "global PageRank (uniform teleport; ignores source)",
@@ -1771,14 +1473,13 @@ void RegisterBuiltinSolvers(SolverRegistry* registry) {
                       "alpha, eps, mu, threads, order", MakeMonteCarlo});
   registry->Register(
       {"fora", "FORA two-phase framework (Wang et al., KDD'17)",
-       "alpha, eps, mu, indexed, index_eps, batch, seed, cache_dir, threads, "
-       "order",
+       "alpha, eps, mu, indexed, index_eps, seed, cache_dir, threads, order",
        [](const SolverSpec& s) {
          return MakeTwoPhase(s, TwoPhaseSolver::Kind::kFora, false);
        }});
   registry->Register(
       {"fora-index", "FORA+ with a pre-built eps-bound walk index",
-       "alpha, eps, mu, index_eps, batch, seed, cache_dir, threads, order",
+       "alpha, eps, mu, index_eps, seed, cache_dir, threads, order",
        [](const SolverSpec& s) {
          return MakeTwoPhase(s, TwoPhaseSolver::Kind::kFora, true);
        }});

@@ -78,38 +78,6 @@ TopKResult TopKPpr(const Graph& graph, NodeId source, size_t k,
                     });
 }
 
-std::vector<TopKResult> TopKPprBatch(BatchSolver& solver,
-                                     SolverContext& context,
-                                     const std::vector<NodeId>& sources,
-                                     size_t k, const PprQuery& query) {
-  PPR_CHECK(solver.graph() != nullptr) << "solver not Prepare()d";
-  PPR_CHECK(k > 0);
-  k = std::min<size_t>(k, solver.graph()->num_nodes());
-
-  std::vector<PprQuery> queries(sources.size(), query);
-  for (size_t i = 0; i < sources.size(); ++i) {
-    queries[i].source = sources[i];
-    queries[i].top_k = k;
-  }
-  std::vector<PprResult> results;
-  std::vector<Status> statuses;
-  const Status status = solver.SolveMany(queries, context, &results,
-                                         &statuses);
-  PPR_CHECK(status.ok()) << status.ToString();
-
-  std::vector<TopKResult> out(sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    TopKResult& r = out[i];
-    r.nodes = std::move(results[i].top_nodes);
-    r.scores.reserve(r.nodes.size());
-    for (NodeId v : r.nodes) r.scores.push_back(results[i].scores[v]);
-    r.final_epsilon = queries[i].epsilon;
-    r.rounds = 1;
-    r.seconds = results[i].stats.seconds;
-  }
-  return out;
-}
-
 TopKResult TopKPpr(Solver& solver, SolverContext& context, NodeId source,
                    size_t k, const TopKOptions& options) {
   PPR_CHECK(solver.graph() != nullptr) << "solver not Prepare()d";

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "api/batch_solver.h"
 #include "api/context.h"
 #include "api/solver.h"
 #include "approx/walk_index.h"
@@ -52,22 +51,6 @@ TopKResult TopKPpr(const Graph& graph, NodeId source, size_t k,
 /// queries for the full sparse-reset benefit.
 TopKResult TopKPpr(Solver& solver, SolverContext& context, NodeId source,
                    size_t k, const TopKOptions& options);
-
-/// Fused multi-source top-k: answers every source's top-k with one
-/// SolveMany pass through a batch-configured solver (batch= > 0), so a
-/// who-to-follow sweep over many users costs one cache pass over the
-/// adjacency per fused block instead of one per user. Configure the
-/// solver with topk_early=1 to let the kernel retire a source whose
-/// top-k gap already exceeds its residual bound while the rest of the
-/// block keeps pushing — the returned top-k *sets* are unchanged, only
-/// the work shrinks. `query` carries the per-source knobs (alpha,
-/// epsilon/lambda overrides); its source and top_k fields are filled
-/// per entry. Results align with `sources`; a per-source failure
-/// crashes (PPR_CHECK), matching the serial drivers' contract.
-std::vector<TopKResult> TopKPprBatch(BatchSolver& solver,
-                                     SolverContext& context,
-                                     const std::vector<NodeId>& sources,
-                                     size_t k, const PprQuery& query = {});
 
 }  // namespace ppr
 

@@ -157,25 +157,6 @@ class BoundedQueue {
     return item;
   }
 
-  /// Non-blocking conditional pop: removes and returns the head iff the
-  /// queue is non-empty and `pred(head)` holds; nullopt otherwise (no
-  /// waiting, even on an open empty queue). Only ever inspects the head,
-  /// so FIFO order is preserved — this is how a worker extends the
-  /// request it already popped into a coalesced batch without reordering
-  /// or starving incompatible queries behind the head.
-  template <typename Pred>
-  std::optional<T> TryPopIf(const Pred& pred) PPR_EXCLUDES(mu_) {
-    std::optional<T> item;
-    {
-      MutexLock lock(mu_);
-      if (items_.empty() || !pred(items_.front())) return std::nullopt;
-      item.emplace(std::move(items_.front()));
-      items_.pop_front();
-    }
-    producer_cv_.NotifyOne();
-    return item;
-  }
-
   /// Rejects future pushes and wakes all waiters; already-admitted items
   /// remain poppable. Idempotent.
   void Close() PPR_EXCLUDES(mu_) {

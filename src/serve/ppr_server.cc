@@ -1,9 +1,7 @@
 #include "serve/ppr_server.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "api/batch_solver.h"
 #include "api/registry.h"
 #include "util/cancellation.h"
 #include "util/fault_injection.h"
@@ -395,35 +393,7 @@ void PprServer::WorkerLoop() {
   internal::ScopedParallelWorker worker_marker;
   while (auto request = queue_.Pop()) {
     PPR_FAULT_POINT("serve.queue.pop");
-    BatchSolver* fused =
-        options_.max_batch > 1 ? request->solver->AsBatch() : nullptr;
-    if (fused == nullptr) {
-      ServeOne(*request);
-      continue;
-    }
-    // Coalescing: extend the popped request with queued neighbors bound
-    // to the same hosted solver. Same Solver pointer pins both the spec
-    // and the epoch barrier, so one fused pass answers queries that
-    // would have produced identical per-query plans anyway. Only the
-    // head is ever taken (TryPopIf), so an incompatible head stops the
-    // drain and FIFO order survives.
-    const size_t limit = std::min(options_.max_batch, fused->max_fused());
-    std::vector<internal::ServeRequest> batch;
-    batch.push_back(std::move(*request));
-    Solver* const anchor = batch.front().solver;
-    while (batch.size() < limit) {
-      auto next =
-          queue_.TryPopIf([anchor](const internal::ServeRequest& head) {
-            return head.solver == anchor;
-          });
-      if (!next.has_value()) break;
-      batch.push_back(std::move(*next));
-    }
-    if (batch.size() == 1) {
-      ServeOne(batch.front());
-    } else {
-      ServeFusedBatch(batch, *fused);
-    }
+    ServeOne(*request);
   }
 }
 
@@ -451,83 +421,12 @@ void PprServer::ServeOne(internal::ServeRequest& request) {
     context.Release();
     if (status.ok()) result.degraded = request.degraded;
   }
-  FinishRequest(request, triage, std::move(status), std::move(result),
-                /*fused=*/false);
-}
-
-void PprServer::ServeFusedBatch(std::vector<internal::ServeRequest>& batch,
-                                BatchSolver& fused) {
-  // Triage each coalesced request exactly as ServeOne would: a query
-  // whose deadline expired in-queue (or that was cancelled, or that a
-  // hard stop overtook) is shed before any compute — coalescing never
-  // buys an expired query a solve it would not have gotten alone.
-  std::vector<size_t> live;
-  live.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const Status triage = batch[i].state->token.CheckNow();
-    if (!triage.ok()) {
-      FinishRequest(batch[i], triage, triage, PprResult{}, /*fused=*/false);
-      continue;
-    }
-    live.push_back(i);
-  }
-  if (live.empty()) return;
-
-  std::vector<PprQuery> queries;
-  std::vector<uint64_t> seeds;
-  std::vector<const CancelToken*> tokens;
-  queries.reserve(live.size());
-  seeds.reserve(live.size());
-  tokens.reserve(live.size());
-  for (size_t i : live) {
-    queries.push_back(batch[i].query);
-    seeds.push_back(batch[i].seed);
-    tokens.push_back(&batch[i].state->token);
-  }
-
-  std::vector<PprResult> results;
-  std::vector<Status> statuses;
-  ContextPool::Lease context = contexts_.Acquire();
-  // The context-level cancel token stays null: cancellation flows
-  // through the per-query token span, so one cancelled or expired
-  // query retires its own column instead of aborting its block-mates.
-  {
-    // One shared hold of the common epoch barrier covers the whole
-    // block — every request was bound to the same hosted solver, hence
-    // the same barrier, and the block completes on one epoch just as
-    // each query would have alone.
-    SharedLock epoch_guard(*batch[live.front()].barrier);
-    // Explicit per-request seeds make each fused result identical to a
-    // serial Reseed(seed) + Solve of the same query; the return value
-    // is just the first per-query failure, already in `statuses`.
-    (void)fused.SolveMany(queries, *context, &results, &statuses, seeds,
-                          tokens);
-  }
-  context.Release();
-
-  // A block that shrank to one live query still went through the fused
-  // kernel, but nothing was actually shared — don't count it.
-  const bool counted = live.size() >= 2;
-  for (size_t j = 0; j < live.size(); ++j) {
-    internal::ServeRequest& request = batch[live[j]];
-    Status status = std::move(statuses[j]);
-    PprResult result;
-    if (status.ok()) {
-      result = std::move(results[j]);
-      result.degraded = request.degraded;
-    }
-    // Triage was OK for every live query, so the taxonomy degenerates
-    // to completed / cancelled / failed — a deadline that expired
-    // mid-block counts as failed (compute was spent), same as a
-    // mid-solve expiry on the one-query path.
-    FinishRequest(request, Status::OK(), std::move(status), std::move(result),
-                  counted);
-  }
+  FinishRequest(request, triage, std::move(status), std::move(result));
 }
 
 void PprServer::FinishRequest(internal::ServeRequest& request,
                               const Status& triage, Status status,
-                              PprResult result, bool fused) {
+                              PprResult result) {
   const bool terminal_ok = status.ok();
   const StatusCode terminal_code = status.code();
   PublishToFuture(*request.state, std::move(status), std::move(result));
@@ -549,7 +448,6 @@ void PprServer::FinishRequest(internal::ServeRequest& request,
     } else {
       failed_++;
     }
-    if (fused) coalesced_++;
   }
   drain_cv_.NotifyAll();
 }
@@ -565,7 +463,6 @@ PprServerStats PprServer::Snapshot() const {
   stats.cancelled = cancelled_;
   stats.degraded = degraded_;
   stats.updates = updates_;
-  stats.coalesced = coalesced_;
   stats.queue_depth = queue_.size();
   return stats;
 }

@@ -121,17 +121,6 @@ struct PprServerOptions {
   /// (queries with PprQuery::deadline > 0 are bounded by that instead).
   /// 0 → wait indefinitely (the pre-deadline behaviour).
   std::chrono::nanoseconds batch_admission_budget{0};
-  /// Opt-in query coalescing: a worker that pops a request routed to a
-  /// batch-capable solver (one configured with batch= > 0) drains up to
-  /// max_batch - 1 further *compatible* queued requests — same hosted
-  /// solver, which pins the spec and the epoch barrier — and answers
-  /// them with one fused SolveMany pass instead of max_batch separate
-  /// CSR traversals. Only the queue head is ever inspected, so FIFO
-  /// order is preserved. Results are still stamped per query and
-  /// deadline/cancel semantics are unchanged: an expired coalesced
-  /// query is shed exactly as today, never solved. 1 (the default)
-  /// disables coalescing.
-  size_t max_batch = 1;
 };
 
 /// Point-in-time counters (monotonic except queue_depth).
@@ -157,9 +146,8 @@ struct PprServerStats {
   /// cancelled later); subset of submitted, not a terminal state.
   uint64_t degraded = 0;
   uint64_t updates = 0;    ///< update batches applied via ApplyUpdates
-  /// Queries answered as part of a fused block of >= 2 (options.max_batch
-  /// coalescing). A query solved alone — no compatible queue neighbor —
-  /// is not counted, so this measures realized fusion, not eligibility.
+  /// Always 0: every query is solved on its own. Kept only because
+  /// perfbench/src/workloads.cc reads it; delete the two together.
   uint64_t coalesced = 0;
   size_t queue_depth = 0;  ///< requests currently waiting
 };
@@ -322,20 +310,12 @@ class PprServer {
   /// Publishes one terminal (status, result) pair to the request's
   /// future and bumps exactly one terminal counter. `triage` is the
   /// pre-solve token check that decided whether the query ran (its
-  /// DeadlineExceeded is what distinguishes shed from failed);
-  /// `fused` adds the query to Snapshot().coalesced.
+  /// DeadlineExceeded is what distinguishes shed from failed).
   void FinishRequest(internal::ServeRequest& request, const Status& triage,
-                     Status status, PprResult result, bool fused)
-      PPR_EXCLUDES(mu_);
-  /// The classic one-query worker path: triage, lease a context, solve
-  /// under the epoch barrier, publish.
+                     Status status, PprResult result) PPR_EXCLUDES(mu_);
+  /// The worker path for one popped request: triage, lease a context,
+  /// solve under the epoch barrier, publish.
   void ServeOne(internal::ServeRequest& request) PPR_EXCLUDES(mu_);
-  /// The coalesced path: triages every drained request (expired ones
-  /// are shed exactly as in ServeOne), then answers the survivors with
-  /// one fused SolveMany under a single shared hold of the common epoch
-  /// barrier, publishing each result with its own seed and token.
-  void ServeFusedBatch(std::vector<internal::ServeRequest>& batch,
-                       BatchSolver& fused) PPR_EXCLUDES(mu_);
   Result<PprFuture> Enqueue(const PprQuery& query, std::string_view solver,
                             uint64_t seed, bool blocking) PPR_EXCLUDES(mu_);
   void StopInternal(bool bounded, std::chrono::nanoseconds drain_budget)
@@ -373,7 +353,6 @@ class PprServer {
   uint64_t cancelled_ PPR_GUARDED_BY(mu_) = 0;
   uint64_t degraded_ PPR_GUARDED_BY(mu_) = 0;
   uint64_t updates_ PPR_GUARDED_BY(mu_) = 0;
-  uint64_t coalesced_ PPR_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace ppr

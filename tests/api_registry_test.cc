@@ -128,9 +128,17 @@ TEST(SolverRegistryTest, CreateRejectsUnknownNamesAndOptions) {
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
 
-  auto bad_option = SolverRegistry::Global().Create("powerpush:frobnicate=1");
-  ASSERT_FALSE(bad_option.ok());
-  EXPECT_EQ(bad_option.status().code(), StatusCode::kInvalidArgument);
+  // An unknown key is an error, never silently ignored: the batch keys
+  // below are refused like the typo.
+  for (const char* spec :
+       {"powerpush:frobnicate=1", "fwdpush:batch=4",
+        "powitr:batch=16,topk_early=1", "fora:batch=4",
+        "fora-index:batch=4"}) {
+    auto bad_option = SolverRegistry::Global().Create(spec);
+    ASSERT_FALSE(bad_option.ok()) << spec;
+    EXPECT_EQ(bad_option.status().code(), StatusCode::kInvalidArgument)
+        << spec;
+  }
 
   auto bad_value = SolverRegistry::Global().Create("mc:eps=banana");
   ASSERT_FALSE(bad_value.ok());

@@ -230,7 +230,6 @@ TEST(RobustnessTest, WalkCountOverflowIsInvalidArgument) {
       {"fora", false},
       {"speedppr", false},
       {"resacc", false},
-      {"fora:batch=4", false},
       {"speedppr:indexed=true", false},
       {"fora:indexed=true,eps=1e-9", true},
       {"dynfora:eps=1e-9", true},

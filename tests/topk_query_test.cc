@@ -1,11 +1,9 @@
 #include "eval/topk_query.h"
 
 #include <algorithm>
-#include <memory>
 
 #include <gtest/gtest.h>
 
-#include "api/registry.h"
 #include "eval/metrics.h"
 #include "test_util.h"
 
@@ -88,38 +86,6 @@ TEST(TopKQueryDeathTest, RejectsZeroK) {
   TopKOptions options;
   Rng rng(8);
   EXPECT_DEATH(TopKPpr(g, 0, 0, options, rng), "Check failed");
-}
-
-// The fused batch driver returns exactly what per-source serial solves
-// of the same spec would: same top-k ids, scores aligned with nodes.
-TEST(TopKQueryTest, BatchDriverMatchesPerSourceSolves) {
-  Graph g = testing::SmallGraphZoo()[7].graph;  // ba_120
-  constexpr size_t kK = 5;
-  auto created =
-      SolverRegistry::Global().Create("fwdpush:rmax=1e-7,batch=4");
-  ASSERT_TRUE(created.ok());
-  std::unique_ptr<Solver> solver = std::move(created).ValueOrDie();
-  ASSERT_TRUE(solver->Prepare(g).ok());
-
-  const std::vector<NodeId> sources = {0, 3, 17, 42, 99};
-  SolverContext batch_context;
-  const std::vector<TopKResult> batched =
-      TopKPprBatch(*solver->AsBatch(), batch_context, sources, kK);
-  ASSERT_EQ(batched.size(), sources.size());
-
-  SolverContext serial_context;
-  for (size_t i = 0; i < sources.size(); ++i) {
-    PprQuery query;
-    query.source = sources[i];
-    query.top_k = kK;
-    PprResult expected;
-    ASSERT_TRUE(solver->Solve(query, serial_context, &expected).ok());
-    EXPECT_EQ(batched[i].nodes, expected.top_nodes) << "source " << sources[i];
-    ASSERT_EQ(batched[i].scores.size(), kK);
-    for (size_t j = 0; j < kK; ++j) {
-      EXPECT_EQ(batched[i].scores[j], expected.scores[batched[i].nodes[j]]);
-    }
-  }
 }
 
 }  // namespace
