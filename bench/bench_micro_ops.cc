@@ -18,6 +18,7 @@
 #include "approx/monte_carlo.h"
 #include "approx/random_walk.h"
 #include "approx/residue_walks.h"
+#include "approx/speedppr.h"
 #include "approx/walk_index.h"
 #include "bepi/sparse_matrix.h"
 #include "core/forward_push.h"
@@ -96,8 +97,8 @@ void BM_RandomWalk(benchmark::State& state) {
 BENCHMARK(BM_RandomWalk);
 
 /// A SpeedPPR (eps = 0.5) walk phase: the residue its phase 1 leaves
-/// (PowerPush to λ = m/W, then the refine to rmax = 1/W; Algorithm 4
-/// lines 2–3) and the walks phase 2 runs over it.
+/// (SpeedPprPushPhase: PowerPush to λ = m/W, then the refine to
+/// rmax = 1/W; Algorithm 4 lines 2–3) and the walks phase 2 runs over it.
 struct WalkPhaseInput {
   Graph graph;
   std::vector<double> residue;
@@ -121,10 +122,8 @@ const WalkPhaseInput& SpeedPprWalkPhase(const std::string& dataset,
   const double dw = static_cast<double>(input.w);
   for (NodeId source = 0; source < n && input.walks < min_walks; ++source) {
     PprEstimate estimate;
-    PowerPushOptions options;
-    options.lambda = static_cast<double>(g.num_edges()) / dw;
-    PowerPush(g, source, options, &estimate);
-    FifoForwardPushRefine(g, source, options.alpha, 1.0 / dw, &estimate);
+    estimate.Reset(n, source);
+    SpeedPprPushPhase(g, source, ApproxOptions{}, input.w, &estimate);
     uint64_t walks = 0;
     for (double r : estimate.residue) {
       walks += static_cast<uint64_t>(std::ceil(std::fabs(r) * dw));

@@ -27,10 +27,9 @@
 #include "api/registry.h"
 #include "approx/monte_carlo.h"
 #include "approx/residue_walks.h"
+#include "approx/speedppr.h"
 #include "bench_common.h"
-#include "core/forward_push.h"
 #include "core/power_iteration.h"
-#include "core/power_push.h"
 #include "eval/experiment.h"
 #include "eval/query_gen.h"
 #include "graph/datasets.h"
@@ -65,19 +64,17 @@ int main() {
   bench::BenchJsonWriter json("scaling");
 
   // ---- 1. Walk phase on the SpeedPPR residue fixture. ----------------
-  // Phase 1 (PowerPush to lambda = m/W plus the O(m) refinement) runs
-  // once outside the timed region; the fixture guarantees W_v <= d_v,
-  // i.e. at most m walks — the workload every SpeedPPR query pays.
+  // Phase 1 (SpeedPprPushPhase: PowerPush to lambda = m/W plus the O(m)
+  // refinement) runs once outside the timed region; the fixture
+  // guarantees W_v <= d_v, i.e. at most m walks — the workload every
+  // SpeedPPR query pays.
   const uint64_t w = ChernoffWalkCount(n, eps, 1.0 / n);
   PprEstimate fixture;
   fixture.Reset(n, source);
   {
-    PowerPushOptions options;
+    ApproxOptions options;
     options.alpha = alpha;
-    options.lambda = static_cast<double>(m) / static_cast<double>(w);
-    PowerPush(graph, source, options, &fixture);
-    FifoForwardPushRefine(graph, source, alpha, 1.0 / static_cast<double>(w),
-                          &fixture);
+    SpeedPprPushPhase(graph, source, options, w, &fixture);
   }
 
   TablePrinter walk_table({"threads", "walk phase (s)", "speedup", "walks"});

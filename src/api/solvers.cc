@@ -174,14 +174,16 @@ class PowerPushSolver : public Solver {
   /// epochs == 0 disables the dynamic-threshold epochs (single epoch at
   /// lambda); queue_phase=false skips the local FIFO phase — the two
   /// ablation axes of §5, exposed so the ablation benches run through
-  /// the registry instead of core internals.
+  /// the registry instead of core internals. relax=false runs the
+  /// serial scan without over-relaxation (Algorithm 3 as published).
   PowerPushSolver(ParamDefaults params, double lambda_unset, int epochs,
-                  double scan_threshold, bool queue_phase)
+                  double scan_threshold, bool queue_phase, bool relax)
       : params_(params),
         lambda_set_(lambda_unset > 0),
         epochs_(epochs),
         scan_threshold_(scan_threshold),
-        queue_phase_(queue_phase) {
+        queue_phase_(queue_phase),
+        relax_(relax) {
     if (lambda_set_) params_.lambda = lambda_unset;
   }
 
@@ -220,6 +222,7 @@ class PowerPushSolver : public Solver {
     options.use_epochs = epochs_ > 0;
     options.epoch_num = epochs_ > 0 ? epochs_ : 1;
     options.use_queue_phase = queue_phase_;
+    options.relax = relax_;
     options.scan_threshold_fraction = scan_threshold_;
     options.assume_initialized = true;
     options.threads = threads();
@@ -244,6 +247,7 @@ class PowerPushSolver : public Solver {
   const int epochs_;
   const double scan_threshold_;
   const bool queue_phase_;
+  const bool relax_;
   NodeId dead_ends_ = 0;
 };
 
@@ -1261,6 +1265,7 @@ Result<std::unique_ptr<Solver>> MakePowerPush(const SolverSpec& spec) {
   int epochs = 8;  // 0 → single epoch at lambda (no-epochs ablation)
   double scan_threshold = kScanThresholdFraction;
   bool queue_phase = true;
+  bool relax = PowerPushOptions{}.relax;
   CommonOptions common;
   OptionReader reader(spec);
   common.Read(reader);
@@ -1268,7 +1273,8 @@ Result<std::unique_ptr<Solver>> MakePowerPush(const SolverSpec& spec) {
       .Double("lambda", &lambda)
       .Int("epochs", &epochs)
       .Double("scan_threshold", &scan_threshold)
-      .Bool("queue_phase", &queue_phase);
+      .Bool("queue_phase", &queue_phase)
+      .Bool("relax", &relax);
   PPR_RETURN_IF_ERROR(reader.Finish());
   if (epochs < 0) {
     return Status::InvalidArgument("powerpush: epochs must be >= 0");
@@ -1276,7 +1282,7 @@ Result<std::unique_ptr<Solver>> MakePowerPush(const SolverSpec& spec) {
   return FinishSolver(common,
                       std::unique_ptr<Solver>(new PowerPushSolver(
                           params, lambda, epochs, scan_threshold,
-                          queue_phase)));
+                          queue_phase, relax)));
 }
 
 Result<std::unique_ptr<Solver>> MakePowerIteration(const SolverSpec& spec) {
@@ -1458,7 +1464,7 @@ void RegisterBuiltinSolvers(SolverRegistry* registry) {
   registry->Register(
       {"powerpush", "Power Iteration with Forward Push (Algorithm 3)",
        "alpha, lambda, epochs (0 = off), scan_threshold, queue_phase, "
-       "threads, order",
+       "relax (false = as published), threads, order",
        MakePowerPush});
   registry->Register({"powitr", "vanilla Power Iteration (Section 3.1)",
                       "alpha, lambda, threads, order",

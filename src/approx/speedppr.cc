@@ -10,6 +10,56 @@
 
 namespace ppr {
 
+SolveStats SpeedPprPushPhase(const Graph& graph, NodeId source,
+                             const ApproxOptions& options, uint64_t w,
+                             PprEstimate* estimate, FifoQueue* queue,
+                             ThreadDenseBuffers* thread_scratch) {
+  // PowerPush down to λ = m/W, as published: the refinement below
+  // pushes positive residues only, so an over-relaxed scan's negative
+  // residues would break Lemma 4.5's cap W_v ≤ d_v.
+  PowerPushOptions push_options;
+  push_options.relax = false;
+  push_options.alpha = options.alpha;
+  push_options.lambda =
+      static_cast<double>(graph.num_edges()) / static_cast<double>(w);
+  push_options.assume_initialized = true;
+  push_options.threads = options.threads;
+  push_options.cancel = options.cancel;
+  const SolveStats push_stats =
+      PowerPush(graph, source, push_options, estimate,
+                /*trace=*/nullptr, queue, thread_scratch);
+  SolveStats stats;
+  stats.push_operations = push_stats.push_operations;
+  stats.edge_pushes = push_stats.edge_pushes;
+  const auto stopped = [&] {
+    return options.cancel != nullptr && options.cancel->ShouldStop();
+  };
+  if (stopped()) return stats;
+
+  // O(m) refinement (Lemma 4.5): no node active w.r.t. r_max = 1/W,
+  // i.e. r(s,v) <= d_v/W for every v.
+  const double rmax = 1.0 / static_cast<double>(w);
+  const SolveStats refine_stats = FifoForwardPushRefine(
+      graph, source, options.alpha, rmax, estimate, queue, options.cancel);
+  stats.push_operations += refine_stats.push_operations;
+  stats.edge_pushes += refine_stats.edge_pushes;
+  stats.final_rsum = refine_stats.final_rsum;
+
+#ifndef NDEBUG
+  if (!stopped()) {
+    // Lemma 4.5's cap: refinement must leave W_v = ceil(|r(s,v)|·W) <= d_v.
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+      const double r = std::abs(estimate->residue[v]);
+      PPR_DCHECK(static_cast<uint64_t>(
+                     std::ceil(r * static_cast<double>(w))) <=
+                 EffectiveDegree(graph, v))
+          << "refinement must cap W_v at the degree (v=" << v << ")";
+    }
+  }
+#endif
+  return stats;
+}
+
 SolveStats SpeedPprInto(const Graph& graph, NodeId source,
                         const ApproxOptions& options, Rng& rng,
                         PprEstimate* estimate, std::vector<double>* out,
@@ -29,50 +79,15 @@ SolveStats SpeedPprInto(const Graph& graph, NodeId source,
   PPR_CHECK(estimate->residue.size() == n);
 
   Timer timer;
-  SolveStats stats;
 
-  // Phase 1a: PowerPush down to λ = m/W.
-  PowerPushOptions push_options;
-  push_options.alpha = options.alpha;
-  push_options.lambda =
-      static_cast<double>(graph.num_edges()) / static_cast<double>(w);
-  push_options.assume_initialized = true;
-  push_options.threads = options.threads;
-  push_options.cancel = options.cancel;
-  SolveStats push_stats = PowerPush(graph, source, push_options, estimate,
-                                    /*trace=*/nullptr, queue, thread_scratch);
-  stats.push_operations = push_stats.push_operations;
-  stats.edge_pushes = push_stats.edge_pushes;
-
-  const bool stopped_early =
-      options.cancel != nullptr && options.cancel->ShouldStop();
-
-  // Phase 1b: O(m) refinement (Lemma 4.5) so that no node is active
-  // w.r.t. r_max = 1/W, i.e. r(s,v) <= d_v/W for every v.
-  const double rmax = 1.0 / static_cast<double>(w);
-  if (!stopped_early) {
-    SolveStats refine_stats = FifoForwardPushRefine(
-        graph, source, options.alpha, rmax, estimate, queue, options.cancel);
-    stats.push_operations += refine_stats.push_operations;
-    stats.edge_pushes += refine_stats.edge_pushes;
-    stats.final_rsum = refine_stats.final_rsum;
-  }
+  // Phase 1: PowerPush and the refinement (Lemma 4.5).
+  SolveStats stats =
+      SpeedPprPushPhase(graph, source, options, w, estimate, queue,
+                        thread_scratch);
   if (options.cancel != nullptr && options.cancel->ShouldStop()) {
     stats.seconds = timer.ElapsedSeconds();
     return stats;  // partial (Lemma 4.5 does not hold); caller discards
   }
-
-#ifndef NDEBUG
-  // Lemma 4.5's cap: refinement must leave W_v = ceil(r(s,v)·W) <= d_v.
-  for (NodeId v = 0; v < n; ++v) {
-    const double r = estimate->residue[v];
-    if (r <= 0.0) continue;
-    PPR_DCHECK(static_cast<uint64_t>(
-                   std::ceil(r * static_cast<double>(w))) <=
-               EffectiveDegree(graph, v))
-        << "refinement must cap W_v at the degree (v=" << v << ")";
-  }
-#endif
 
   // Phase 2: at most d_v walks per node.
   SeedScoresFromReserve(estimate->reserve, out);

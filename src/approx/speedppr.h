@@ -46,6 +46,20 @@ inline bool SpeedPprUsesMonteCarloFallback(const Graph& graph,
          graph.num_edges();
 }
 
+/// SpeedPPR's phase 1 (Algorithm 4 lines 2–3) for W = `w` walks:
+/// PowerPush as published (relax = false) down to λ = m/W, then the O(m)
+/// FIFO refinement to r_max = 1/W. It leaves every residue in
+/// [0, d_v/W] (Lemma 4.5), so the walk phase runs W_v ≤ d_v walks per
+/// node — at most m. `estimate` must hold the canonical start state.
+/// Uses options.alpha, threads and cancel; a cancelled run returns
+/// early and the cap does not hold. `queue` and `thread_scratch` are
+/// lent to the push loops as in SpeedPprInto, which runs this.
+SolveStats SpeedPprPushPhase(const Graph& graph, NodeId source,
+                             const ApproxOptions& options, uint64_t w,
+                             PprEstimate* estimate,
+                             FifoQueue* queue = nullptr,
+                             ThreadDenseBuffers* thread_scratch = nullptr);
+
 /// Workspace variant — the single composition both SpeedPpr() and the
 /// api/ "speedppr" adapter run. `estimate` must hold the canonical
 /// start state (residue = e_source) and `out` must be all-zero, both

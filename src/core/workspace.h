@@ -1,6 +1,7 @@
 #ifndef PPR_CORE_WORKSPACE_H_
 #define PPR_CORE_WORKSPACE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -11,7 +12,10 @@ namespace ppr {
 /// The (reserve, residue) pair every push-style SSPPR algorithm maintains
 /// (§3.2 of the paper):
 ///
-///  * reserve[v] = π̂(s, v), an underestimate of the true PPR π(s, v);
+///  * reserve[v] = π̂(s, v), an underestimate of the true PPR π(s, v)
+///    while no residue is negative. The default (over-relaxed) PowerPush
+///    scan and DynamicSsppr's update corrections leave signed residues,
+///    and then only ‖π̂ − π‖₁ ≤ Σ|r| holds;
 ///  * residue[v] = r(s, v), probability mass of the alive random walk not
 ///    yet converted into reserve.
 ///
@@ -49,11 +53,23 @@ struct PprEstimate {
     return sum;
   }
 
-  /// The exact ℓ1-error of `reserve` against the true PPR vector
-  /// (Equation (7) of the paper).
+  /// The signed residue sum: 1 − ReserveSum() up to rounding (mass
+  /// conservation). When no residue is negative it is the exact
+  /// ℓ1-error of `reserve` against the true PPR vector (Equation (7) of
+  /// the paper).
   double ResidueSum() const {
     double sum = 0.0;
     for (double x : residue) sum += x;
+    return sum;
+  }
+
+  /// Σ|r|, which bounds the ℓ1-error of `reserve` whatever the residue
+  /// signs — the certificate once residues may be negative (the
+  /// over-relaxed PowerPush scan). Equals ResidueSum() bit for bit when
+  /// no residue is negative.
+  double ResidueL1() const {
+    double sum = 0.0;
+    for (double x : residue) sum += std::abs(x);
     return sum;
   }
 };

@@ -65,7 +65,7 @@ std::vector<std::vector<double>> BatchPowerPush(
   if (options.use_queue_phase && options.use_epochs &&
       options.epoch_num == defaults.epoch_num &&
       options.scan_threshold_fraction == defaults.scan_threshold_fraction &&
-      !options.assume_initialized) {
+      options.relax == defaults.relax && !options.assume_initialized) {
     // alpha/lambda ride in the typed query; the remaining knobs are at
     // their defaults, so the bare spec suffices (formatting doubles
     // into a spec string would be LC_NUMERIC-fragile).

@@ -20,6 +20,22 @@ enum class QueuePushResult {
   kTimedOut,  // admission deadline passed while the queue stayed full
 };
 
+/// The producer's backoff sleep in BoundedQueue::PushUntil: waits on
+/// `cv` (releasing `lock` meanwhile) for at most `interval` and returns
+/// true iff the whole interval ran out — the signal to escalate the
+/// backoff. A consumer-notified (or spurious) wakeup returns false.
+/// Stateless, so the queue a PprServer holds keeps its size; tests pass
+/// a scripted wait as BoundedQueue's second template argument to drive
+/// the escalation rule without depending on thread scheduling.
+struct CondVarBackoffWait {
+  bool operator()(CondVar& cv, MutexLock& lock,
+                  std::chrono::microseconds interval) const {
+    const auto start = std::chrono::steady_clock::now();
+    cv.WaitFor(lock, interval);
+    return std::chrono::steady_clock::now() - start >= interval;
+  }
+};
+
 /// A bounded multi-producer multi-consumer FIFO — the PprServer's
 /// request queue. Two admission disciplines:
 ///
@@ -41,10 +57,11 @@ enum class QueuePushResult {
 /// before the close (Pop returns the remaining items, then nullopt), so
 /// a server shutdown completes accepted queries instead of dropping
 /// them silently.
-template <typename T>
+template <typename T, typename BackoffWait = CondVarBackoffWait>
 class BoundedQueue {
  public:
-  explicit BoundedQueue(size_t capacity) : capacity_(capacity) {
+  explicit BoundedQueue(size_t capacity, BackoffWait wait = BackoffWait())
+      : capacity_(capacity), wait_(std::move(wait)) {
     PPR_CHECK(capacity >= 1);
   }
 
@@ -115,9 +132,7 @@ class BoundedQueue {
               delay, std::chrono::ceil<std::chrono::microseconds>(deadline -
                                                                   now));
         }
-        const auto wait_start = std::chrono::steady_clock::now();
-        producer_cv_.WaitFor(lock, wait);
-        if (std::chrono::steady_clock::now() - wait_start >= wait) {
+        if (wait_(producer_cv_, lock, wait)) {
           // The full interval elapsed with no slot: genuine sustained
           // pressure, escalate. Early wakeups keep the current pace.
           delay = std::min(delay * 2, kMaxBackoff);
@@ -190,6 +205,7 @@ class BoundedQueue {
   CondVar producer_cv_;
   std::deque<T> items_ PPR_GUARDED_BY(mu_);
   bool closed_ PPR_GUARDED_BY(mu_) = false;
+  [[no_unique_address]] BackoffWait wait_;
 };
 
 }  // namespace ppr

@@ -148,11 +148,12 @@ TEST(SolverRegistryTest, CreateRejectsUnknownNamesAndOptions) {
 TEST(SolverRegistryTest, PowerPushAblationOptionsStayConformant) {
   // The §5 ablation axes are registry options now (the ablation benches
   // depend on them): epochs=0 disables the epoch schedule, and
-  // queue_phase=false skips the FIFO phase entirely. Both are exact
-  // ablations — every variant must still meet its advertised L1 bound.
+  // queue_phase=false skips the FIFO phase entirely; relax=0 is the
+  // published scan without over-relaxation. All are exact variants —
+  // every one must still meet its advertised L1 bound.
   for (const char* spec :
        {"powerpush:epochs=0", "powerpush:queue_phase=false",
-        "powerpush:queue_phase=false,epochs=0"}) {
+        "powerpush:queue_phase=false,epochs=0", "powerpush:relax=0"}) {
     auto created = SolverRegistry::Global().Create(spec);
     ASSERT_TRUE(created.ok()) << spec << ": " << created.status().ToString();
     std::unique_ptr<Solver> solver = std::move(created).ValueOrDie();
@@ -170,9 +171,12 @@ TEST(SolverRegistryTest, PowerPushAblationOptionsStayConformant) {
         << spec << ": l1=" << error << " advertised=" << result.l1_bound;
   }
 
-  auto bad_bool = SolverRegistry::Global().Create("powerpush:queue_phase=maybe");
-  ASSERT_FALSE(bad_bool.ok());
-  EXPECT_EQ(bad_bool.status().code(), StatusCode::kInvalidArgument);
+  for (const char* spec :
+       {"powerpush:queue_phase=maybe", "powerpush:relax=maybe"}) {
+    auto bad_bool = SolverRegistry::Global().Create(spec);
+    ASSERT_FALSE(bad_bool.ok()) << spec;
+    EXPECT_EQ(bad_bool.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
 
   auto bad_epochs = SolverRegistry::Global().Create("powerpush:epochs=-3");
   ASSERT_FALSE(bad_epochs.ok());

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,22 +25,9 @@
 #include "serve/ppr_server.h"
 #include "util/cancellation.h"
 #include "util/fault_injection.h"
+#include "util/mutex.h"
 #include "util/rng.h"
-
-// TSAN's instrumentation inflates wakeup latency past the queue's
-// 64µs initial backoff interval as a matter of course, so *pacing*
-// assertions (as opposed to correctness ones) are vacuous under it:
-// every notified wakeup looks like a fully-elapsed wait.
-#if defined(__SANITIZE_THREAD__)
-#define PPR_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PPR_TSAN_BUILD 1
-#endif
-#endif
-#ifndef PPR_TSAN_BUILD
-#define PPR_TSAN_BUILD 0
-#endif
+#include "util/thread_annotations.h"
 
 namespace ppr {
 namespace {
@@ -532,76 +520,97 @@ TEST(PprServerQueueTest, BackoffEscalatesOnlyOnFullyElapsedWaits) {
   EXPECT_EQ(backoff, BoundedQueue<int>::kMaxBackoff);
 }
 
+TEST(PprServerQueueTest, CondVarBackoffWaitReportsOnlyFullyElapsedWaits) {
+  // The production backoff wait's two answers, with no timing race: a
+  // notified wakeup within a 10 s interval must not count as elapsed,
+  // and a 1 ms interval with no notify must.
+  Mutex mu;
+  CondVar cv;
+  const CondVarBackoffWait backoff_wait{};
+  {
+    MutexLock lock(mu);
+    // The notifier takes `mu` first, so it can only notify once the
+    // wait below has released `mu` inside WaitFor.
+    std::thread notifier([&] {
+      MutexLock notifier_lock(mu);
+      cv.NotifyAll();
+    });
+    const bool elapsed = backoff_wait(cv, lock, std::chrono::seconds(10));
+    lock.Unlock();
+    notifier.join();
+    EXPECT_FALSE(elapsed) << "a notified wakeup counted as elapsed";
+  }
+  {
+    MutexLock lock(mu);
+    EXPECT_TRUE(backoff_wait(cv, lock, std::chrono::milliseconds(1)));
+  }
+}
+
+/// A scripted BoundedQueue backoff wait that plays a fast-draining
+/// queue's racing pair in line instead of sleeping: a consumer pops (the
+/// notification that ends the wait early) and a rival producer re-fills
+/// the slot before the waiting producer re-checks. Waits 20, 70, 120 and
+/// 170 instead run their full interval with no pop. Wait kLastWait pops
+/// without the re-fill, so the producer wins.
+struct RacingPairWait;
+using RacingQueue = BoundedQueue<int, RacingPairWait>;
+
+struct RacingPairScript {
+  RacingQueue* queue = nullptr;
+  int waits = 0;
+};
+
+struct RacingPairWait {
+  static constexpr int kLastWait = 200;
+  RacingPairScript* script;
+
+  // Releases and re-takes the caller's lock, as CondVar::WaitFor does.
+  // The analysis cannot see that PushUntil holds the queue mutex through
+  // `lock`, so it would flag the Unlock as releasing a lock not held;
+  // the protocol that makes it safe is PushUntil's: it calls the wait
+  // with `lock` held and expects it held again on return.
+  bool operator()(CondVar& /*cv*/, MutexLock& lock,
+                  std::chrono::microseconds /*interval*/) const
+      PPR_NO_THREAD_SAFETY_ANALYSIS {
+    const int wait = ++script->waits;
+    if (wait % 50 == 20) return true;
+    lock.Unlock();
+    EXPECT_TRUE(script->queue->Pop().has_value());
+    if (wait < kLastWait) EXPECT_TRUE(script->queue->TryPush(0));
+    lock.Lock();
+    return false;
+  }
+};
+
 TEST(PprServerQueueTest, ConsumerNotifiedWakeupsDoNotEscalateBackoff) {
-  // The regression the elapsed-time check fixes: a producer racing a
+  // The regression the elapsed-interval rule fixes: a producer racing a
   // fast-draining queue is woken early by every Pop, loses the slot race
   // to TryPush, and goes back to waiting. Those notified wakeups are not
   // congestion — doubling on them walked the producer up to the 8ms max
   // and throttled it against a queue that was never saturated for long.
-  // With the fix, a backoff round only escalates after a wait that ran
-  // its full interval, so hundreds of notify-then-lose cycles leave the
-  // pace near the initial interval.
-  BoundedQueue<int> queue(1);
+  // A backoff round only escalates after a wait that ran its full
+  // interval, so 200 notify-then-lose cycles with four fully-elapsed
+  // waits among them end at exactly 64µs · 2⁴ = 1024µs; the always-
+  // double behavior ends at the 8192µs max. The scripted wait makes the
+  // race deterministic: no thread scheduling decides which waits elapse.
+  RacingPairScript script;
+  RacingQueue queue(1, RacingPairWait{&script});
+  script.queue = &queue;
   ASSERT_TRUE(queue.TryPush(1));
-
-  std::atomic<bool> stop{false};
-  // The racing pair: a consumer that frees the slot (waking the waiting
-  // producer) and a rival producer that immediately re-fills it. The
-  // waiting PushUntil keeps losing without ever seeing a full interval
-  // elapse uninterrupted.
-  std::thread churn([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      if (queue.Pop().has_value()) {
-        while (!queue.TryPush(0) && !stop.load(std::memory_order_acquire)) {
-          std::this_thread::yield();
-        }
-      }
-    }
-  });
 
   bool saw_full = false;
   std::chrono::microseconds backoff{0};
-  QueuePushResult result = QueuePushResult::kAdmitted;
-  // Two kinds of run are ambiguous and get retried. An attempt whose
-  // very first TryPush sneaks into the instant between churn's pop and
-  // re-push is admitted without ever waiting (vacuous — the property
-  // was never exercised). And on a loaded machine (or under TSAN's
-  // instrumentation slowdown) the churn thread can be starved long
-  // enough that the queue is *genuinely* full for whole intervals, so
-  // one attempt's escalation is correct behavior, not the regression.
-  // The always-double bug escalates to the max on essentially every
-  // attempt, so a single cleanly-paced attempt is a sound verdict.
-  for (int attempt = 0; attempt < 6; ++attempt) {
-    bool attempt_full = false;
-    std::chrono::microseconds attempt_backoff{0};
-    result = queue.PushUntil(
-        2, steady_clock::now() + std::chrono::milliseconds(150),
-        &attempt_full, &attempt_backoff);
-    if (!attempt_full) continue;
-    saw_full = true;
-    backoff = attempt_backoff;
-    if (backoff <= std::chrono::microseconds(1024)) break;
-  }
-  stop.store(true, std::memory_order_release);
-  queue.Close();
-  churn.join();
-  // Whether the producer eventually won the race or timed out, 150ms of
-  // consumer-notified wakeups must not have walked the backoff anywhere
-  // near the max. The bound leaves room for a few genuinely-elapsed
-  // rounds on a loaded CI machine (64 → 1024µs is four escalations)
-  // while still failing the always-double behavior, which reaches
-  // 8192µs within the first ~16ms.
-  EXPECT_TRUE(result == QueuePushResult::kAdmitted ||
-              result == QueuePushResult::kTimedOut ||
-              result == QueuePushResult::kClosed);
+  const QueuePushResult result = queue.PushUntil(
+      2, steady_clock::now() + std::chrono::seconds(30), &saw_full,
+      &backoff);
+  EXPECT_EQ(result, QueuePushResult::kAdmitted);
   EXPECT_TRUE(saw_full);
-  // Escalation on a notified-but-slow wakeup is indistinguishable from
-  // a fully-elapsed wait, and under TSAN every wakeup is slow — the
-  // pacing bound only means something in uninstrumented builds.
-  if (!PPR_TSAN_BUILD) {
-    EXPECT_LE(backoff, std::chrono::microseconds(1024))
-        << "early wakeups escalated the backoff on every attempt";
-  }
+  EXPECT_EQ(script.waits, RacingPairWait::kLastWait);
+  EXPECT_EQ(backoff, std::chrono::microseconds(1024))
+      << "notified wakeups escalated the backoff";
+  // The winning producer's item is the only one left.
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.Pop(), std::optional<int>(2));
 }
 
 TEST(PprServerQueueTest, CloseDuringBackoffFailsThePushFast) {

@@ -25,7 +25,7 @@ TEST(TimerTest, ResetRestartsClock) {
   Timer timer;
   // Burn a little time.
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   double before = timer.ElapsedSeconds();
   timer.Reset();
   EXPECT_LT(timer.ElapsedSeconds(), before + 1e-3);
