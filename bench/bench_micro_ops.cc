@@ -1,10 +1,11 @@
 // google-benchmark microbenches for the primitives underneath every
 // result in the paper: push operations (queue vs sequential scan — the
 // core §5 trade-off), random-walk steps, SpeedPPR's walk phase serial
-// and through the shared pool, SpMV, walk-index lookups, and the top-k
-// selection every served result with top_k > 0 runs.
+// and through the shared pool, one whole served SpeedPPR query, SpMV,
+// walk-index lookups, and the top-k selection every served result with
+// top_k > 0 runs.
 //
-// CI's bench smoke runs the walk, push and top-k cases and keeps the
+// CI's bench smoke runs the walk, push, query and top-k cases and keeps the
 // JSON (--benchmark_out=<dir>/BENCH_micro_ops.json
 // --benchmark_out_format=json), so the kernel layer's edge pushes/s and
 // walk steps/s are recorded with the other BENCH files.
@@ -15,6 +16,8 @@
 #include <map>
 #include <string>
 
+#include "api/context.h"
+#include "api/registry.h"
 #include "approx/monte_carlo.h"
 #include "approx/random_walk.h"
 #include "approx/residue_walks.h"
@@ -26,6 +29,8 @@
 #include "core/power_push.h"
 #include "eval/metrics.h"
 #include "graph/datasets.h"
+#include "util/node_set.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/worker_pool.h"
 
@@ -83,12 +88,13 @@ BENCHMARK(BM_PowerPush)->Arg(4)->Arg(6)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void BM_RandomWalk(benchmark::State& state) {
   const Graph& g = BenchGraph();
+  const GeometricDraw length(0.2);
   Rng rng(1);
   uint64_t steps = 0;
   for (auto _ : state) {
     WalkOutcome outcome =
         RandomWalk(g, static_cast<NodeId>(rng.NextBounded(g.num_nodes())),
-                   0.2, rng);
+                   length, rng);
     benchmark::DoNotOptimize(outcome.stop);
     steps += outcome.steps;
   }
@@ -98,10 +104,12 @@ BENCHMARK(BM_RandomWalk);
 
 /// A SpeedPPR (eps = 0.5) walk phase: the residue its phase 1 leaves
 /// (SpeedPprPushPhase: PowerPush to λ = m/W, then the refine to
-/// rmax = 1/W; Algorithm 4 lines 2–3) and the walks phase 2 runs over it.
+/// rmax = 1/W; Algorithm 4 lines 2–3), the support phase 1 recorded, and
+/// the walks phase 2 runs over it.
 struct WalkPhaseInput {
   Graph graph;
   std::vector<double> residue;
+  NodeSet support;
   uint64_t w = 0;
   uint64_t walks = 0;
 };
@@ -123,7 +131,10 @@ const WalkPhaseInput& SpeedPprWalkPhase(const std::string& dataset,
   for (NodeId source = 0; source < n && input.walks < min_walks; ++source) {
     PprEstimate estimate;
     estimate.Reset(n, source);
-    SpeedPprPushPhase(g, source, ApproxOptions{}, input.w, &estimate);
+    NodeSet support;
+    support.Clear(n);
+    SpeedPprPushPhase(g, source, ApproxOptions{}, input.w, &estimate,
+                      /*queue=*/nullptr, /*thread_scratch=*/nullptr, &support);
     uint64_t walks = 0;
     for (double r : estimate.residue) {
       walks += static_cast<uint64_t>(std::ceil(std::fabs(r) * dw));
@@ -131,28 +142,35 @@ const WalkPhaseInput& SpeedPprWalkPhase(const std::string& dataset,
     if (walks > input.walks) {
       input.walks = walks;
       input.residue = std::move(estimate.residue);
+      input.support = std::move(support);
     }
   }
   return input;
 }
 
-// ResidueWalkPhase over a SpeedPPR residue, at arg 0 threads: 1 runs
-// serially, ThreadBudget() fans out onto the shared pool, as a threads=0
-// solve does off a server or batch worker. webst-sim (approx-serve's
-// graph) runs ~4k walks per source at the median, so its first source
-// at or past kMinParallelWalks = 4,096 sits at the cutoff; dblp-sim runs
-// about 3n walks, so ~64k at scale 0.7. Real time, since the walks run
-// on other threads too.
+// ResidueWalkPhase over a SpeedPPR residue, tracked as a served query
+// runs it (phase 1's recorded support in, the stop set out), at arg 0
+// threads: 1 runs serially, as every served query does, and visits only
+// the support; ThreadBudget() fans out onto the shared pool, as a
+// threads=0 solve does off a server or batch worker. webst-sim
+// (approx-serve's graph) runs ~4k walks per source at the median, so
+// its first source at or past kMinParallelWalks = 4,096 sits at the
+// cutoff; dblp-sim runs about 3n walks, so ~64k at scale 0.7 (and its
+// phase 1 reaches the scan, so its support is all n). Real time, since
+// the walks run on other threads too.
 void BM_ResidueWalkPhase(benchmark::State& state, const char* dataset,
                          double scale, uint64_t min_walks) {
   const WalkPhaseInput& input = SpeedPprWalkPhase(dataset, scale, min_walks);
   const unsigned threads = static_cast<unsigned>(state.range(0));
   std::vector<double> out(input.graph.num_nodes(), 0.0);
+  NodeSet stops;
+  stops.Clear(input.graph.num_nodes());
   Rng rng(11);
   SolveStats stats;
   for (auto _ : state) {
     ResidueWalkPhase(input.graph, input.residue, input.w, 0.2, rng, nullptr,
-                     &out, &stats, threads);
+                     &out, &stats, threads, /*cancel=*/nullptr,
+                     &input.support, &stops);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -170,6 +188,44 @@ BENCHMARK_CAPTURE(BM_ResidueWalkPhase, webst_4k, "webst-sim", 1.0, 4096)
     ->Apply(WalkPhaseThreads);
 BENCHMARK_CAPTURE(BM_ResidueWalkPhase, dblp_64k, "dblp-sim", 0.7, 65536)
     ->Apply(WalkPhaseThreads);
+
+// One served approx-serve query end to end inside the solver: a
+// warm-context registry Solve of speedppr:eps=0.5 with top_k = 10 on
+// webst-sim, cycling over 64 fixed sources, on a thread marked as a
+// parallel worker so its threads=0 stages run serially, as on a
+// PprServer worker. Items are edge pushes plus walk steps, the query's
+// kernel work.
+void BM_SpeedPprQuery(benchmark::State& state) {
+  static const Graph* graph =
+      new Graph(MakeDataset(FindDataset("webst-sim"), 1.0));
+  static Solver* solver = [] {
+    auto created = SolverRegistry::Global().Create("speedppr:eps=0.5");
+    PPR_CHECK(created.ok()) << created.status().ToString();
+    Solver* s = std::move(created).ValueOrDie().release();
+    PPR_CHECK(s->Prepare(*graph).ok());
+    return s;
+  }();
+  std::vector<NodeId> sources(64);
+  Rng pick(12);
+  for (NodeId& source : sources) {
+    source = static_cast<NodeId>(pick.NextBounded(graph->num_nodes()));
+  }
+  internal::ScopedParallelWorker served_like;
+  SolverContext context;
+  PprResult result;
+  uint64_t items = 0;
+  size_t next = 0;
+  for (auto _ : state) {
+    PprQuery query;
+    query.source = sources[next % sources.size()];
+    query.top_k = 10;
+    context.Reseed(next++);
+    PPR_CHECK(solver->Solve(query, context, &result).ok());
+    items += result.stats.edge_pushes + result.stats.walk_steps;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(items));
+}
+BENCHMARK(BM_SpeedPprQuery)->Unit(benchmark::kMicrosecond);
 
 void BM_WalkIndexLookup(benchmark::State& state) {
   const Graph& g = BenchGraph();

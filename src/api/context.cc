@@ -23,6 +23,8 @@ PprEstimate* SolverContext::AcquireEstimate(NodeId n, NodeId source) {
   // never a stale workspace.
   estimate_clean_ = false;
   estimate_.residue[source] = 1.0;
+  estimate_source_ = source;
+  estimate_touched_.SetAll(n);
   return &estimate_;
 }
 
@@ -36,7 +38,19 @@ std::vector<double>* SolverContext::AcquireScores(NodeId n) {
   }
   scores_support_.clear();
   scores_clean_ = false;
+  scores_touched_.SetAll(n);
   return &scores_;
+}
+
+NodeSet* SolverContext::TrackEstimate() {
+  estimate_touched_.Clear(static_cast<NodeId>(estimate_.reserve.size()));
+  estimate_touched_.Insert(estimate_source_);
+  return &estimate_touched_;
+}
+
+NodeSet* SolverContext::TrackScores() {
+  scores_touched_.Clear(static_cast<NodeId>(scores_.size()));
+  return &scores_touched_;
 }
 
 FifoQueue* SolverContext::AcquireQueue(NodeId n) {
@@ -71,25 +85,26 @@ void SolverContext::ExportEstimate(bool with_residues, PprResult* result) {
 
 void SolverContext::ExportScores(PprResult* result) {
   const NodeId n = static_cast<NodeId>(scores_.size());
-  result->scores.resize(n);
+  PPR_DCHECK(scores_touched_.universe() == n);
+  result->scores.assign(n, 0.0);
   result->residues.clear();
   scores_support_.clear();
-  for (NodeId v = 0; v < n; ++v) {
+  scores_touched_.ForEach([&](NodeId v) {
     const double score = scores_[v];
     result->scores[v] = score;
     if (score != 0.0) scores_support_.push_back(v);
-  }
+  });
   scores_clean_ = true;
 }
 
 void SolverContext::ReleaseEstimate() {
-  const NodeId n = static_cast<NodeId>(estimate_.reserve.size());
+  PPR_DCHECK(estimate_touched_.universe() == estimate_.reserve.size());
   estimate_support_.clear();
-  for (NodeId v = 0; v < n; ++v) {
+  estimate_touched_.ForEach([&](NodeId v) {
     if (estimate_.reserve[v] != 0.0 || estimate_.residue[v] != 0.0) {
       estimate_support_.push_back(v);
     }
-  }
+  });
   estimate_clean_ = true;
 }
 

@@ -10,6 +10,7 @@
 #include "graph/graph.h"
 #include "util/cancellation.h"
 #include "util/fifo_queue.h"
+#include "util/node_set.h"
 #include "util/rng.h"
 
 namespace ppr {
@@ -23,6 +24,17 @@ namespace ppr {
 /// call zeroes only the entries the previous solve left nonzero (the
 /// support recorded by the matching Export*/Release call). The
 /// full_assigns()/sparse_resets() counters make this contract testable.
+///
+/// Finding that support is itself a loop. By default Release/Export
+/// scan all n entries. A solver whose kernels record what they write
+/// opts in with TrackEstimate()/TrackScores() after acquiring: the
+/// kernels insert every node they touch into the returned NodeSet (or
+/// mark it all, e.g. PowerPush's scan phase), and Release/Export visit
+/// only its members. SpeedPPR and FORA do this, so their workspace
+/// stages cost O(touched + n/64); ExportScores' copy into the result
+/// and the result's TopK stay O(n). Acquire*() puts the set back to
+/// "all", so a solver that does not record can never leave a stale
+/// set behind for the next one.
 ///
 /// A context is not thread-safe; batch drivers create one per worker.
 /// One context can serve many solvers and many graphs — switching graph
@@ -65,6 +77,18 @@ class SolverContext {
   /// discipline as AcquireEstimate.
   std::vector<double>* AcquireScores(NodeId n);
 
+  /// Opts the acquired estimate into support tracking: returns a set
+  /// holding only the source (the start state's one nonzero entry)
+  /// that the solve's kernels must keep covering every entry they
+  /// write. ReleaseEstimate then visits its members instead of all n.
+  /// Costs O(n/64). Valid until the next AcquireEstimate.
+  NodeSet* TrackEstimate();
+
+  /// As TrackEstimate, for the acquired score scratch: returns an empty
+  /// set that the solve must keep covering every score it writes, and
+  /// ExportScores copies only its members.
+  NodeSet* TrackScores();
+
   /// Returns the scratch FIFO reconfigured for n nodes (reallocates only
   /// when n changes).
   FifoQueue* AcquireQueue(NodeId n);
@@ -86,12 +110,15 @@ class SolverContext {
   /// so the next AcquireEstimate can sparse-reset.
   void ExportEstimate(bool with_residues, PprResult* result);
 
-  /// Copies the score scratch into result->scores, recording support.
+  /// Copies the score scratch into result->scores, recording support:
+  /// zero-fills the result, then copies the tracked set's members
+  /// (every entry when untracked).
   void ExportScores(PprResult* result);
 
   /// Records the estimate workspace's support without exporting it —
   /// for solvers that use the estimate as an intermediate (e.g. the
-  /// push phase of SpeedPPR) and export scores instead.
+  /// push phase of SpeedPPR) and export scores instead. Visits the
+  /// tracked set's members (every entry when untracked).
   void ReleaseEstimate();
 
   /// Drops the workspace-reuse state: the next Acquire* performs a full
@@ -118,6 +145,15 @@ class SolverContext {
   uint64_t full_assigns() const { return full_assigns_; }
   /// Number of sparse (support-only) resets performed.
   uint64_t sparse_resets() const { return sparse_resets_; }
+  /// The nonzero entries the last Release/Export recorded, ascending —
+  /// what the next Acquire will zero. The same list whether or not the
+  /// solve was tracked.
+  const std::vector<NodeId>& estimate_support() const {
+    return estimate_support_;
+  }
+  const std::vector<NodeId>& scores_support() const {
+    return scores_support_;
+  }
 
  private:
   Rng rng_;
@@ -125,10 +161,13 @@ class SolverContext {
   const CancelToken* cancel_ = nullptr;
 
   PprEstimate estimate_;
+  NodeId estimate_source_ = 0;
+  NodeSet estimate_touched_;  // covers the nonzeros; all unless tracked
   std::vector<NodeId> estimate_support_;
   bool estimate_clean_ = false;  // support list describes all nonzeros
 
   std::vector<double> scores_;
+  NodeSet scores_touched_;
   std::vector<NodeId> scores_support_;
   bool scores_clean_ = false;
 

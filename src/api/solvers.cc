@@ -781,9 +781,12 @@ class TwoPhaseSolver : public Solver {
     PPR_RETURN_IF_ERROR(CheckWalkCount(n, options.epsilon, options.mu));
 
     // The compositions live in SpeedPprInto/ForaInto — shared with the
-    // free functions, so the two entry points cannot drift.
+    // free functions, so the two entry points cannot drift. Both record
+    // the nodes they touch, so Release/Export below visit only those.
     PprEstimate* estimate = context.AcquireEstimate(n, query.source);
     std::vector<double>* scores = context.AcquireScores(n);
+    NodeSet* estimate_support = context.TrackEstimate();
+    NodeSet* scores_support = context.TrackScores();
     if (kind_ == Kind::kSpeedPpr) {
       // Lend scratch only to the stages that will read it: the PowerPush
       // scan under an explicit threads=N, or the W <= m MonteCarlo
@@ -800,13 +803,15 @@ class TwoPhaseSolver : public Solver {
           workers > 1 && (threads() > 1 || mc_fallback_wants_scratch)
               ? context.AcquireThreadBuffers(workers, n)
               : nullptr;
-      result->stats =
-          SpeedPprInto(*graph_, query.source, options, context.rng(), estimate,
-                       scores, index_.get(), context.AcquireQueue(n), scratch);
+      result->stats = SpeedPprInto(
+          *graph_, query.source, options, context.rng(), estimate, scores,
+          index_.get(), context.AcquireQueue(n), scratch, estimate_support,
+          scores_support);
     } else {
-      result->stats =
-          ForaInto(*graph_, query.source, options, context.rng(), estimate,
-                   scores, index_.get(), context.AcquireQueue(n));
+      result->stats = ForaInto(*graph_, query.source, options, context.rng(),
+                               estimate, scores, index_.get(),
+                               context.AcquireQueue(n), estimate_support,
+                               scores_support);
     }
     context.ReleaseEstimate();
     context.ExportScores(result);

@@ -16,7 +16,8 @@ double ForaRmax(const Graph& graph, uint64_t walk_count_w) {
 SolveStats ForaInto(const Graph& graph, NodeId source,
                     const ApproxOptions& options, Rng& rng,
                     PprEstimate* estimate, std::vector<double>* out,
-                    WalkIndexView index, FifoQueue* queue) {
+                    WalkIndexView index, FifoQueue* queue,
+                    NodeSet* estimate_support, NodeSet* out_support) {
   PPR_CHECK(source < graph.num_nodes());
   const NodeId n = graph.num_nodes();
   PPR_CHECK(out->size() == n);
@@ -34,8 +35,9 @@ SolveStats ForaInto(const Graph& graph, NodeId source,
   push_options.rmax = ForaRmax(graph, w);
   push_options.assume_initialized = true;
   push_options.cancel = options.cancel;
-  SolveStats push_stats = FifoForwardPush(graph, source, push_options,
-                                          estimate, /*trace=*/nullptr, queue);
+  SolveStats push_stats =
+      FifoForwardPush(graph, source, push_options, estimate,
+                      /*trace=*/nullptr, queue, estimate_support);
   stats.push_operations = push_stats.push_operations;
   stats.edge_pushes = push_stats.edge_pushes;
   stats.final_rsum = push_stats.final_rsum;
@@ -45,9 +47,11 @@ SolveStats ForaInto(const Graph& graph, NodeId source,
   }
 
   // Phase 2: Monte-Carlo refinement of the leftover residues.
-  SeedScoresFromReserve(estimate->reserve, out);
+  SeedScoresFromReserve(estimate->reserve, out, estimate_support,
+                        out_support);
   ResidueWalkPhase(graph, estimate->residue, w, options.alpha, rng, index, out,
-                   &stats, options.threads, options.cancel);
+                   &stats, options.threads, options.cancel, estimate_support,
+                   out_support);
 
   stats.seconds = timer.ElapsedSeconds();
   return stats;

@@ -8,6 +8,7 @@
 #include "core/workspace.h"
 #include "graph/graph.h"
 #include "util/fifo_queue.h"
+#include "util/node_set.h"
 #include "util/rng.h"
 
 namespace ppr {
@@ -33,12 +34,16 @@ SolveStats Fora(const Graph& graph, NodeId source, const ApproxOptions& options,
 
 /// Workspace variant — the single composition both Fora() and the api/
 /// "fora" adapter run. `estimate` must hold the canonical start state
-/// and `out` must be all-zero, both sized n (see SpeedPprInto).
+/// and `out` must be all-zero, both sized n; the optional support sets
+/// follow SpeedPprInto's protocol (FORA's phase 1 is FIFO only, so a
+/// tracked query never visits all n).
 SolveStats ForaInto(const Graph& graph, NodeId source,
                     const ApproxOptions& options, Rng& rng,
                     PprEstimate* estimate, std::vector<double>* out,
                     WalkIndexView index = nullptr,
-                    FifoQueue* queue = nullptr);
+                    FifoQueue* queue = nullptr,
+                    NodeSet* estimate_support = nullptr,
+                    NodeSet* out_support = nullptr);
 
 /// The r_max FORA uses for a given W: 1/sqrt(m·W).
 double ForaRmax(const Graph& graph, uint64_t walk_count_w);

@@ -75,6 +75,7 @@ SolveStats MonteCarloInto(const Graph& graph, NodeId source,
   const unsigned threads =
       options.threads == 0 ? ParallelThreadCount() : options.threads;
 
+  const GeometricDraw length(options.alpha);
   const bool dense_counts = MonteCarloUsesDenseCounts(n, options);
   const CancelToken* cancel = options.cancel;
   if (threads <= 1 || blocks < 2) {
@@ -84,8 +85,7 @@ SolveStats MonteCarloInto(const Graph& graph, NodeId source,
       Rng block_rng = SplitStream(seed, b);
       const uint64_t hi = std::min(walks, (b + 1) * kWalkBlock);
       for (uint64_t i = b * kWalkBlock; i < hi; ++i) {
-        WalkOutcome outcome = RandomWalk(graph, source, options.alpha,
-                                         block_rng);
+        WalkOutcome outcome = RandomWalk(graph, source, length, block_rng);
         (*out)[outcome.stop] += weight;
         steps += outcome.steps;
       }
@@ -114,8 +114,7 @@ SolveStats MonteCarloInto(const Graph& graph, NodeId source,
         Rng block_rng = SplitStream(seed, b);
         const uint64_t end = std::min(walks, (b + 1) * kWalkBlock);
         for (uint64_t i = b * kWalkBlock; i < end; ++i) {
-          WalkOutcome outcome = RandomWalk(graph, source, options.alpha,
-                                           block_rng);
+          WalkOutcome outcome = RandomWalk(graph, source, length, block_rng);
           local_counts[outcome.stop] += 1.0;
           chunk_steps[w] += outcome.steps;
         }
@@ -150,8 +149,7 @@ SolveStats MonteCarloInto(const Graph& graph, NodeId source,
         Rng block_rng = SplitStream(seed, b);
         const uint64_t end = std::min(walks, (b + 1) * kWalkBlock);
         for (uint64_t i = b * kWalkBlock; i < end; ++i) {
-          WalkOutcome outcome = RandomWalk(graph, source, options.alpha,
-                                           block_rng);
+          WalkOutcome outcome = RandomWalk(graph, source, length, block_rng);
           buffer.push_back(outcome.stop);
           chunk_steps[w] += outcome.steps;
         }

@@ -2,6 +2,7 @@
 #define PPR_APPROX_RANDOM_WALK_H_
 
 #include "graph/graph.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace ppr {
@@ -21,8 +22,34 @@ struct WalkOutcome {
 };
 
 /// Performs one α-random walk from `origin` and returns where it stopped.
-WalkOutcome RandomWalk(const Graph& graph, NodeId origin, double alpha,
-                       Rng& rng);
+/// `length` is GeometricDraw(α), built once per walk loop: the walk draws
+/// its geometric stop time first, then one NextBounded per move — one
+/// RNG call for the length instead of one Bernoulli per step. Inline,
+/// since every walk loop calls it once per walk.
+inline WalkOutcome RandomWalk(const Graph& graph, NodeId origin,
+                              const GeometricDraw& length, Rng& rng) {
+  PPR_DCHECK(origin < graph.num_nodes());
+  NodeId current = origin;
+  uint32_t steps = 0;
+  const uint64_t moves = length(rng);
+  for (uint64_t i = 0; i < moves; ++i) {
+    auto neighbors = graph.OutNeighbors(current);
+    if (neighbors.empty()) {
+      current = origin;  // dead end: conceptual edge back to the origin
+    } else {
+      current = neighbors[rng.NextBounded(neighbors.size())];
+    }
+    ++steps;
+  }
+  return {current, steps};
+}
+
+/// One walk at stop probability `alpha` (0 < α < 1); the same draws as
+/// the overload above.
+inline WalkOutcome RandomWalk(const Graph& graph, NodeId origin, double alpha,
+                              Rng& rng) {
+  return RandomWalk(graph, origin, GeometricDraw(alpha), rng);
+}
 
 /// Expected walk length is (1−α)/α; used by cost accounting and tests.
 inline double ExpectedWalkSteps(double alpha) {

@@ -7,6 +7,7 @@
 #include "core/workspace.h"
 #include "graph/graph.h"
 #include "util/cancellation.h"
+#include "util/node_set.h"
 #include "util/rng.h"
 
 namespace ppr {
@@ -41,21 +42,37 @@ namespace ppr {
 /// nodes inside a chunk; a triggered token abandons the remaining walks
 /// (the partial accumulation is meaningless and the caller discards it).
 /// nullptr never polls — bit-identical to the pre-cancellation phase.
+///
+/// Support tracking (see NodeSet): `residue_support`, when non-null,
+/// covers the residue's nonzero entries, and the serial path visits only
+/// its members — O(members + walk steps) instead of O(n). `out_support`,
+/// when non-null, receives every stop node the walks add to (the
+/// parallel path's merge marks it all instead). nullptr for either means
+/// all n and no recording; the results do not depend on either set.
 void ResidueWalkPhase(const Graph& graph, const std::vector<double>& residue,
                       uint64_t walk_count_w, double alpha, Rng& rng,
                       WalkIndexView index, std::vector<double>* out,
                       SolveStats* stats, unsigned threads = 0,
-                      const CancelToken* cancel = nullptr);
+                      const CancelToken* cancel = nullptr,
+                      const NodeSet* residue_support = nullptr,
+                      NodeSet* out_support = nullptr);
 
 /// Support-only copy of the push reserves into the (all-zero) score
 /// buffer that the walk phase then refines: writes only nonzero
-/// entries, preserving the caller's sparse-reset accounting.
+/// entries, preserving the caller's sparse-reset accounting. Visits
+/// `support` (all n when nullptr), which must cover the nonzero
+/// reserves, and inserts each written entry into `out_support` when
+/// non-null.
 inline void SeedScoresFromReserve(const std::vector<double>& reserve,
-                                  std::vector<double>* out) {
-  const size_t n = reserve.size();
-  for (size_t v = 0; v < n; ++v) {
-    if (reserve[v] != 0.0) (*out)[v] = reserve[v];
-  }
+                                  std::vector<double>* out,
+                                  const NodeSet* support = nullptr,
+                                  NodeSet* out_support = nullptr) {
+  ForEachNode(support, static_cast<NodeId>(reserve.size()), [&](NodeId v) {
+    if (reserve[v] != 0.0) {
+      (*out)[v] = reserve[v];
+      if (out_support != nullptr) out_support->Insert(v);
+    }
+  });
 }
 
 }  // namespace ppr

@@ -13,7 +13,8 @@ namespace ppr {
 SolveStats SpeedPprPushPhase(const Graph& graph, NodeId source,
                              const ApproxOptions& options, uint64_t w,
                              PprEstimate* estimate, FifoQueue* queue,
-                             ThreadDenseBuffers* thread_scratch) {
+                             ThreadDenseBuffers* thread_scratch,
+                             NodeSet* support) {
   // PowerPush down to λ = m/W, as published: the refinement below
   // pushes positive residues only, so an over-relaxed scan's negative
   // residues would break Lemma 4.5's cap W_v ≤ d_v.
@@ -27,7 +28,7 @@ SolveStats SpeedPprPushPhase(const Graph& graph, NodeId source,
   push_options.cancel = options.cancel;
   const SolveStats push_stats =
       PowerPush(graph, source, push_options, estimate,
-                /*trace=*/nullptr, queue, thread_scratch);
+                /*trace=*/nullptr, queue, thread_scratch, support);
   SolveStats stats;
   stats.push_operations = push_stats.push_operations;
   stats.edge_pushes = push_stats.edge_pushes;
@@ -39,8 +40,9 @@ SolveStats SpeedPprPushPhase(const Graph& graph, NodeId source,
   // O(m) refinement (Lemma 4.5): no node active w.r.t. r_max = 1/W,
   // i.e. r(s,v) <= d_v/W for every v.
   const double rmax = 1.0 / static_cast<double>(w);
-  const SolveStats refine_stats = FifoForwardPushRefine(
-      graph, source, options.alpha, rmax, estimate, queue, options.cancel);
+  const SolveStats refine_stats =
+      FifoForwardPushRefine(graph, source, options.alpha, rmax, estimate,
+                            queue, options.cancel, support);
   stats.push_operations += refine_stats.push_operations;
   stats.edge_pushes += refine_stats.edge_pushes;
   stats.final_rsum = refine_stats.final_rsum;
@@ -64,7 +66,8 @@ SolveStats SpeedPprInto(const Graph& graph, NodeId source,
                         const ApproxOptions& options, Rng& rng,
                         PprEstimate* estimate, std::vector<double>* out,
                         WalkIndexView index, FifoQueue* queue,
-                        ThreadDenseBuffers* thread_scratch) {
+                        ThreadDenseBuffers* thread_scratch,
+                        NodeSet* estimate_support, NodeSet* out_support) {
   PPR_CHECK(source < graph.num_nodes());
   PPR_CHECK(out->size() == graph.num_nodes());
   const NodeId n = graph.num_nodes();
@@ -73,6 +76,8 @@ SolveStats SpeedPprInto(const Graph& graph, NodeId source,
 
   if (SpeedPprUsesMonteCarloFallback(graph, options)) {
     // §6.1: with m >= W, plain MonteCarlo already costs O(W) <= O(m).
+    // Its walks do not record their stops.
+    if (out_support != nullptr) out_support->MarkAll();
     return MonteCarloInto(graph, source, options, rng, out, thread_scratch);
   }
   PPR_CHECK(estimate->reserve.size() == n);
@@ -83,16 +88,18 @@ SolveStats SpeedPprInto(const Graph& graph, NodeId source,
   // Phase 1: PowerPush and the refinement (Lemma 4.5).
   SolveStats stats =
       SpeedPprPushPhase(graph, source, options, w, estimate, queue,
-                        thread_scratch);
+                        thread_scratch, estimate_support);
   if (options.cancel != nullptr && options.cancel->ShouldStop()) {
     stats.seconds = timer.ElapsedSeconds();
     return stats;  // partial (Lemma 4.5 does not hold); caller discards
   }
 
   // Phase 2: at most d_v walks per node.
-  SeedScoresFromReserve(estimate->reserve, out);
+  SeedScoresFromReserve(estimate->reserve, out, estimate_support,
+                        out_support);
   ResidueWalkPhase(graph, estimate->residue, w, options.alpha, rng, index, out,
-                   &stats, options.threads, options.cancel);
+                   &stats, options.threads, options.cancel, estimate_support,
+                   out_support);
 
   stats.seconds = timer.ElapsedSeconds();
   return stats;

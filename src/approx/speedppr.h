@@ -8,6 +8,7 @@
 #include "core/workspace.h"
 #include "graph/graph.h"
 #include "util/fifo_queue.h"
+#include "util/node_set.h"
 #include "util/rng.h"
 
 namespace ppr {
@@ -52,13 +53,15 @@ inline bool SpeedPprUsesMonteCarloFallback(const Graph& graph,
 /// [0, d_v/W] (Lemma 4.5), so the walk phase runs W_v ≤ d_v walks per
 /// node — at most m. `estimate` must hold the canonical start state.
 /// Uses options.alpha, threads and cancel; a cancelled run returns
-/// early and the cap does not hold. `queue` and `thread_scratch` are
-/// lent to the push loops as in SpeedPprInto, which runs this.
+/// early and the cap does not hold. `queue`, `thread_scratch` and
+/// `support` are lent to the push loops as in SpeedPprInto, which runs
+/// this.
 SolveStats SpeedPprPushPhase(const Graph& graph, NodeId source,
                              const ApproxOptions& options, uint64_t w,
                              PprEstimate* estimate,
                              FifoQueue* queue = nullptr,
-                             ThreadDenseBuffers* thread_scratch = nullptr);
+                             ThreadDenseBuffers* thread_scratch = nullptr,
+                             NodeSet* support = nullptr);
 
 /// Workspace variant — the single composition both SpeedPpr() and the
 /// api/ "speedppr" adapter run. `estimate` must hold the canonical
@@ -69,12 +72,24 @@ SolveStats SpeedPprPushPhase(const Graph& graph, NodeId source,
 /// plain MonteCarlo and `estimate` is left untouched.
 /// `thread_scratch` optionally lends the PowerPush stage's per-thread
 /// buffers when options.threads > 1 (see ThreadDenseBuffers).
+///
+/// Support tracking (optional; see NodeSet): `estimate_support` must
+/// cover the start state (hold the source) and `out_support` must be
+/// empty. Every stage then records what it writes — the push loops the
+/// nodes they deposit mass on, the seeding and the walks the score
+/// entries they set — or marks the set all (PowerPush's scan phase, the
+/// Monte Carlo fallback, the parallel walk merge), and the stages after
+/// it visit only the recorded nodes: a FIFO-only query costs
+/// O(pushes + walk steps + touched + n/64) instead of several O(n)
+/// sweeps. The results are bit-identical with or without the sets.
 SolveStats SpeedPprInto(const Graph& graph, NodeId source,
                         const ApproxOptions& options, Rng& rng,
                         PprEstimate* estimate, std::vector<double>* out,
                         WalkIndexView index = nullptr,
                         FifoQueue* queue = nullptr,
-                        ThreadDenseBuffers* thread_scratch = nullptr);
+                        ThreadDenseBuffers* thread_scratch = nullptr,
+                        NodeSet* estimate_support = nullptr,
+                        NodeSet* out_support = nullptr);
 
 }  // namespace ppr
 

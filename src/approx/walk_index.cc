@@ -53,15 +53,17 @@ std::vector<uint64_t> SizingOffsets(const Graph& graph,
 
 /// One α-walk from `origin` recording the departure sequence into
 /// *path (cleared first). RNG consumption matches RandomWalk() draw for
-/// draw — one geometric for the length, one bounded draw per non-dead-
-/// end move — so a freshly built DynamicWalkIndex reproduces
-/// WalkIndex::BuildParallel's endpoints bit for bit.
+/// draw — one geometric for the length (`length` is GeometricDraw(α)),
+/// one bounded draw per non-dead-end move — so a freshly built
+/// DynamicWalkIndex reproduces WalkIndex::BuildParallel's endpoints bit
+/// for bit.
 template <typename GraphT>
-NodeId RecordWalk(const GraphT& graph, NodeId origin, double alpha, Rng& rng,
+NodeId RecordWalk(const GraphT& graph, NodeId origin,
+                  const GeometricDraw& length, Rng& rng,
                   std::vector<NodeId>* path) {
   path->clear();
   NodeId current = origin;
-  const uint64_t moves = rng.NextGeometric(alpha);
+  const uint64_t moves = length(rng);
   for (uint64_t i = 0; i < moves; ++i) {
     path->push_back(current);
     auto neighbors = graph.OutNeighbors(current);
@@ -84,13 +86,14 @@ NodeId RecordWalk(const GraphT& graph, NodeId origin, double alpha, Rng& rng,
 /// entry must already be `from`.
 template <typename GraphT>
 NodeId ResumeWalk(const GraphT& graph, NodeId origin, NodeId from,
-                  double alpha, Rng& rng, std::vector<NodeId>* path) {
+                  const GeometricDraw& length, Rng& rng,
+                  std::vector<NodeId>* path) {
   auto first = graph.OutNeighbors(from);
   NodeId current =
       first.empty()
           ? origin
           : first[rng.NextBounded(static_cast<uint64_t>(first.size()))];
-  const uint64_t moves = rng.NextGeometric(alpha);
+  const uint64_t moves = length(rng);
   for (uint64_t i = 0; i < moves; ++i) {
     path->push_back(current);
     auto neighbors = graph.OutNeighbors(current);
@@ -117,9 +120,10 @@ WalkIndex WalkIndex::Build(const Graph& graph, double alpha, Sizing sizing,
 
   index.offsets_ = SizingOffsets(graph, sizing, walk_count_w);
   index.endpoints_.resize(index.offsets_.back());
+  const GeometricDraw length(alpha);
   for (NodeId v = 0; v < n; ++v) {
     for (uint64_t i = index.offsets_[v]; i < index.offsets_[v + 1]; ++i) {
-      index.endpoints_[i] = RandomWalk(graph, v, alpha, rng).stop;
+      index.endpoints_[i] = RandomWalk(graph, v, length, rng).stop;
     }
   }
   index.build_seconds_ = timer.ElapsedSeconds();
@@ -140,12 +144,13 @@ WalkIndex WalkIndex::BuildParallel(const Graph& graph, double alpha,
   index.endpoints_.resize(index.offsets_.back());
   // Each worker writes a disjoint slice; each node gets its own stream
   // seeded from (seed, v), so the output is thread-count independent.
+  const GeometricDraw length(alpha);
   ParallelFor(0, n, [&](uint64_t lo, uint64_t hi, unsigned) {
     for (uint64_t v = lo; v < hi; ++v) {
       Rng rng = SplitStream(seed, v);
       for (uint64_t i = index.offsets_[v]; i < index.offsets_[v + 1]; ++i) {
         index.endpoints_[i] =
-            RandomWalk(graph, static_cast<NodeId>(v), alpha, rng).stop;
+            RandomWalk(graph, static_cast<NodeId>(v), length, rng).stop;
       }
     }
   });
@@ -305,6 +310,7 @@ DynamicWalkIndex::DynamicWalkIndex(const Graph& graph, double alpha,
   // index is registered in a serial pass after. Paths go straight into
   // the per-node arena — one allocation stream per node, no per-walk
   // heap vectors.
+  const GeometricDraw length(alpha);
   ParallelFor(0, n, [&](uint64_t lo, uint64_t hi, unsigned) {
     std::vector<NodeId> scratch;
     for (uint64_t v = lo; v < hi; ++v) {
@@ -316,7 +322,7 @@ DynamicWalkIndex::DynamicWalkIndex(const Graph& graph, double alpha,
       walks.length.reserve(k);
       for (uint64_t i = 0; i < k; ++i) {
         const NodeId stop =
-            RecordWalk(graph, static_cast<NodeId>(v), alpha, rng, &scratch);
+            RecordWalk(graph, static_cast<NodeId>(v), length, rng, &scratch);
         walks.endpoints.push_back(stop);
         walks.begin.push_back(static_cast<uint32_t>(walks.arena.size()));
         walks.length.push_back(static_cast<uint32_t>(scratch.size()));
@@ -441,6 +447,7 @@ uint64_t DynamicWalkIndex::RefreshMutatedNode(const DynamicGraph& graph,
                                               NodeId u) {
   PPR_CHECK(u < nodes_.size());
   Rng& rng = streams_[u];
+  const GeometricDraw length(alpha_);
   uint64_t resampled = 0;
 
   // 1. Resample every walk that departed u, from its first departure.
@@ -469,7 +476,7 @@ uint64_t DynamicWalkIndex::RefreshMutatedNode(const DynamicGraph& graph,
     // suffix, assembled in scratch_ and committed over the old span.
     scratch_.assign(path.begin(), path.begin() + p + 1);
     walks.endpoints[slot.walk] =
-        ResumeWalk(graph, slot.origin, u, alpha_, rng, &scratch_);
+        ResumeWalk(graph, slot.origin, u, length, rng, &scratch_);
     CommitPath(walks, slot.walk);
     RegisterPath(slot.origin, slot.walk, p);  // re-registers u itself too
     resampled++;
@@ -509,8 +516,9 @@ uint64_t DynamicWalkIndex::ResizeNode(const DynamicGraph& graph, NodeId v,
     own.length.pop_back();
     total_walks_--;
   }
+  const GeometricDraw length(alpha_);
   while (own.endpoints.size() < target) {
-    const NodeId stop = RecordWalk(graph, v, alpha_, streams_[v], &scratch_);
+    const NodeId stop = RecordWalk(graph, v, length, streams_[v], &scratch_);
     own.endpoints.push_back(stop);
     own.begin.push_back(0);
     own.length.push_back(0);
@@ -552,8 +560,9 @@ void DynamicWalkIndex::AddNode() {
   Rng build = SplitStream(seed_, v);
   NodeWalks& walks = nodes_.back();
   const uint64_t k = TargetWalks(0);
+  const GeometricDraw length(alpha_);
   for (uint64_t i = 0; i < k; ++i) {
-    const uint64_t moves = build.NextGeometric(alpha_);
+    const uint64_t moves = length(build);
     walks.endpoints.push_back(v);
     walks.begin.push_back(static_cast<uint32_t>(walks.arena.size()));
     walks.length.push_back(static_cast<uint32_t>(moves));

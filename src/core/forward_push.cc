@@ -9,22 +9,25 @@ namespace {
 
 /// Shared FIFO push loop. Seeds the queue with every currently-active
 /// node and pushes until the queue drains (or rsum falls to stop_rsum).
+/// The seeding scan visits `support` (all n when nullptr) in ascending
+/// order; skipped entries are zero, so rsum and the queue order are
+/// those of a full scan.
 SolveStats RunFifoLoop(const Graph& graph, NodeId source, double alpha,
                        double rmax, double stop_rsum, PprEstimate* estimate,
                        ConvergenceTrace* trace, FifoQueue* scratch,
-                       const CancelToken* cancel) {
+                       const CancelToken* cancel, NodeSet* support) {
   const NodeId n = graph.num_nodes();
   FifoQueue local_queue(scratch != nullptr ? 0 : n);
   FifoQueue& queue = scratch != nullptr ? *scratch : local_queue;
   if (scratch != nullptr) queue.Reconfigure(n);
   double rsum = 0.0;
-  for (NodeId v = 0; v < n; ++v) {
+  ForEachNode(support, n, [&](NodeId v) {
     const double r = estimate->residue[v];
     rsum += r;
     if (r > static_cast<double>(EffectiveDegree(graph, v)) * rmax) {
       queue.PushIfAbsent(v);
     }
-  }
+  });
 
   SolveStats stats;
   Timer timer;
@@ -55,15 +58,16 @@ SolveStats RunFifoLoop(const Graph& graph, NodeId source, double alpha,
           static_cast<double>(EffectiveDegree(graph, source)) * rmax) {
         queue.PushIfAbsent(source);
       }
+      if (support != nullptr) support->Insert(source);
       stats.edge_pushes += 1;
     } else {
       const double inc = push / d;
       for (NodeId u : graph.OutNeighbors(v)) {
         residue[u] += inc;
-        if (residue[u] >
-            static_cast<double>(EffectiveDegree(graph, u)) * rmax) {
-          queue.PushIfAbsent(u);
-        }
+        queue.PushIfActive(
+            u, residue[u] >
+                   static_cast<double>(EffectiveDegree(graph, u)) * rmax);
+        if (support != nullptr) support->Insert(u);
       }
       stats.edge_pushes += d;
     }
@@ -82,16 +86,18 @@ SolveStats RunFifoLoop(const Graph& graph, NodeId source, double alpha,
 
 SolveStats FifoForwardPush(const Graph& graph, NodeId source,
                            const ForwardPushOptions& options, PprEstimate* out,
-                           ConvergenceTrace* trace, FifoQueue* queue) {
+                           ConvergenceTrace* trace, FifoQueue* queue,
+                           NodeSet* support) {
   PPR_CHECK(source < graph.num_nodes());
   PPR_CHECK(options.rmax > 0.0);
   PPR_CHECK(options.alpha > 0.0 && options.alpha < 1.0);
 
   if (trace != nullptr) trace->Start();
   out->EnsureStartState(graph.num_nodes(), source, options.assume_initialized);
+  if (support != nullptr) support->Insert(source);
   SolveStats stats = RunFifoLoop(graph, source, options.alpha, options.rmax,
                                  options.stop_rsum, out, trace, queue,
-                                 options.cancel);
+                                 options.cancel, support);
   if (trace != nullptr) trace->Record(stats.edge_pushes, stats.final_rsum);
   return stats;
 }
@@ -99,13 +105,14 @@ SolveStats FifoForwardPush(const Graph& graph, NodeId source,
 SolveStats FifoForwardPushRefine(const Graph& graph, NodeId source,
                                  double alpha, double rmax,
                                  PprEstimate* estimate, FifoQueue* queue,
-                                 const CancelToken* cancel) {
+                                 const CancelToken* cancel,
+                                 NodeSet* support) {
   PPR_CHECK(source < graph.num_nodes());
   PPR_CHECK(rmax > 0.0);
   PPR_CHECK(estimate->reserve.size() == graph.num_nodes());
   PPR_CHECK(estimate->residue.size() == graph.num_nodes());
   return RunFifoLoop(graph, source, alpha, rmax, /*stop_rsum=*/0.0, estimate,
-                     /*trace=*/nullptr, queue, cancel);
+                     /*trace=*/nullptr, queue, cancel, support);
 }
 
 }  // namespace ppr

@@ -6,6 +6,7 @@
 #include "graph/graph.h"
 #include "util/cancellation.h"
 #include "util/fifo_queue.h"
+#include "util/node_set.h"
 
 namespace ppr {
 
@@ -38,21 +39,28 @@ struct ForwardPushOptions {
 /// its out-neighbors. Dead-end mass is redirected to the source.
 /// `queue` optionally supplies a reusable scratch FIFO (it is
 /// Reconfigure()d to the graph's node count); nullptr allocates one
-/// per call.
+/// per call. `support`, when non-null, must cover `out`'s nonzero
+/// entries on entry; the loop inserts every node it deposits mass on,
+/// so it still covers them on return (see NodeSet). nullptr records
+/// nothing.
 SolveStats FifoForwardPush(const Graph& graph, NodeId source,
                            const ForwardPushOptions& options, PprEstimate* out,
                            ConvergenceTrace* trace = nullptr,
-                           FifoQueue* queue = nullptr);
+                           FifoQueue* queue = nullptr,
+                           NodeSet* support = nullptr);
 
 /// Continues pushing from an existing (reserve, residue) state until no
 /// node is active w.r.t. rmax. This is the O(m) post-refinement step that
 /// SpeedPPR (Algorithm 4, line 3) applies after PowerPush: by Lemma 4.5,
-/// starting from rsum ≤ m*rmax it costs only O(m).
+/// starting from rsum ≤ m*rmax it costs only O(m). The queue is seeded
+/// by a scan over `support` (all n when nullptr), which the loop keeps
+/// covering the estimate's nonzero entries as in FifoForwardPush.
 SolveStats FifoForwardPushRefine(const Graph& graph, NodeId source,
                                  double alpha, double rmax,
                                  PprEstimate* estimate,
                                  FifoQueue* queue = nullptr,
-                                 const CancelToken* cancel = nullptr);
+                                 const CancelToken* cancel = nullptr,
+                                 NodeSet* support = nullptr);
 
 }  // namespace ppr
 

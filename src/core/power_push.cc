@@ -87,7 +87,7 @@ double PaperLambda(const Graph& graph) {
 SolveStats PowerPush(const Graph& graph, NodeId source,
                      const PowerPushOptions& options, PprEstimate* out,
                      ConvergenceTrace* trace, FifoQueue* scratch,
-                     ThreadDenseBuffers* thread_scratch) {
+                     ThreadDenseBuffers* thread_scratch, NodeSet* support) {
   PPR_CHECK(source < graph.num_nodes());
   PPR_CHECK(options.lambda > 0.0 && options.lambda < 1.0);
   PPR_CHECK(options.alpha > 0.0 && options.alpha < 1.0);
@@ -103,6 +103,7 @@ SolveStats PowerPush(const Graph& graph, NodeId source,
   Timer timer;
   if (trace != nullptr) trace->Start();
   out->EnsureStartState(n, source, options.assume_initialized);
+  if (support != nullptr) support->Insert(source);
   std::vector<double>& reserve = out->reserve;
   std::vector<double>& residue = out->residue;
 
@@ -145,10 +146,10 @@ SolveStats PowerPush(const Graph& graph, NodeId source,
         const double inc = push / d;
         for (NodeId u : graph.OutNeighbors(v)) {
           residue[u] += inc;
-          if (residue[u] >
-              static_cast<double>(EffectiveDegree(graph, u)) * rmax) {
-            queue.PushIfAbsent(u);
-          }
+          queue.PushIfActive(
+              u, residue[u] >
+                     static_cast<double>(EffectiveDegree(graph, u)) * rmax);
+          if (support != nullptr) support->Insert(u);
         }
         stats.edge_pushes += d;
       }
@@ -161,6 +162,8 @@ SolveStats PowerPush(const Graph& graph, NodeId source,
 
   // ---- Phase 2: global scans with a dynamic threshold. ----
   if (rsum > lambda && !stopped()) {
+    // Scans touch every node; recording them would cost what it saves.
+    if (support != nullptr) support->MarkAll();
     const unsigned threads = options.threads <= 1 ? 1 : options.threads;
     std::vector<uint64_t> row_bounds;
     ThreadDenseBuffers local_buffers;

@@ -6,6 +6,7 @@
 #include "graph/graph.h"
 #include "util/cancellation.h"
 #include "util/fifo_queue.h"
+#include "util/node_set.h"
 
 namespace ppr {
 
@@ -116,11 +117,16 @@ double PaperLambda(const Graph& graph);
 /// phase (see FifoForwardPush); nullptr allocates one per call.
 /// `thread_scratch` optionally lends the parallel scan's per-thread
 /// buffers (see ThreadDenseBuffers); nullptr allocates locally.
+/// `support`, when non-null, must cover `out`'s nonzero entries on entry
+/// and is kept covering them: the FIFO phase inserts every node it
+/// deposits mass on, and entering the scan phase marks it all (see
+/// NodeSet). nullptr records nothing.
 SolveStats PowerPush(const Graph& graph, NodeId source,
                      const PowerPushOptions& options, PprEstimate* out,
                      ConvergenceTrace* trace = nullptr,
                      FifoQueue* queue = nullptr,
-                     ThreadDenseBuffers* thread_scratch = nullptr);
+                     ThreadDenseBuffers* thread_scratch = nullptr,
+                     NodeSet* support = nullptr);
 
 }  // namespace ppr
 

@@ -12,6 +12,13 @@ namespace ppr {
 /// testing — the exact structure Algorithm 2 (FIFO-FwdPush) needs for its
 /// "if u not in Q then append" step. Capacity is the number of distinct
 /// ids (a node can appear at most once), so the ring never overflows.
+///
+/// Cost model: Push*/Pop are O(1), and Clear and a same-universe
+/// Reconfigure are O(size), so a push loop on a reused queue pays for
+/// the nodes it queues, never for the universe.
+/// PushIfActive is the branchless form for the push loops' neighbour
+/// scan, where "is u now active" is a data-dependent coin flip the
+/// branch predictor loses.
 class FifoQueue {
  public:
   /// Creates a queue able to hold ids in [0, universe).
@@ -29,6 +36,20 @@ class FifoQueue {
     ring_[tail_] = v;
     tail_ = Advance(tail_);
     return true;
+  }
+
+  /// Appends v iff `active` and v is not currently queued — the same
+  /// queue as `if (active) PushIfAbsent(v)`, without a branch: the free
+  /// tail slot is always written (one always exists, since capacity is
+  /// universe + 1 and no id is queued twice) and the tail advances by
+  /// the 0/1 outcome.
+  void PushIfActive(uint32_t v, bool active) {
+    PPR_DCHECK(v < in_queue_.size());
+    const uint8_t append = static_cast<uint8_t>(active) & (in_queue_[v] ^ 1);
+    in_queue_[v] |= append;
+    ring_[tail_] = v;
+    const size_t next = tail_ + append;
+    tail_ = next == ring_.size() ? 0 : next;
   }
 
   /// Pops the front id. Precondition: !empty().

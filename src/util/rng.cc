@@ -2,13 +2,7 @@
 
 #include <cmath>
 
-#include "util/logging.h"
-
 namespace ppr {
-
-namespace {
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-}  // namespace
 
 Rng::Rng(uint64_t seed) {
   SplitMix64 sm(seed);
@@ -17,40 +11,6 @@ Rng::Rng(uint64_t seed) {
   do {
     for (auto& s : s_) s = sm.Next();
   } while ((s_[0] | s_[1] | s_[2] | s_[3]) == 0);
-}
-
-uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-uint64_t Rng::NextBounded(uint64_t bound) {
-  PPR_DCHECK(bound > 0);
-  // Lemire 2019: unbiased bounded generation without division in the
-  // common case.
-  uint64_t x = NextUint64();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  uint64_t low = static_cast<uint64_t>(m);
-  if (low < bound) {
-    uint64_t threshold = -bound % bound;
-    while (low < threshold) {
-      x = NextUint64();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
 }
 
 uint64_t Rng::NextGeometric(double p) {

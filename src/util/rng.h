@@ -1,7 +1,10 @@
 #ifndef PPR_UTIL_RNG_H_
 #define PPR_UTIL_RNG_H_
 
+#include <cmath>
 #include <cstdint>
+
+#include "util/logging.h"
 
 namespace ppr {
 
@@ -27,27 +30,58 @@ class SplitMix64 {
 /// BigCrush, and — critically for reproducible experiments — fully
 /// deterministic given a seed. Every randomized component in this library
 /// (generators, random walks, query sampling) takes an explicit Rng or
-/// seed; nothing reads global entropy.
+/// seed; nothing reads global entropy. The per-draw members are inline:
+/// a walk step is one NextBounded, and a call into another translation
+/// unit per step costs as much as the draw.
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x5eed5eed5eedULL);
 
   /// Uniform on [0, 2^64).
-  uint64_t NextUint64();
+  uint64_t NextUint64() {
+    const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform on [0, bound). Uses Lemire's multiply-shift rejection method;
   /// unbiased. Precondition: bound > 0.
-  uint64_t NextBounded(uint64_t bound);
+  uint64_t NextBounded(uint64_t bound) {
+    PPR_DCHECK(bound > 0);
+    // Lemire 2019: unbiased bounded generation without division in the
+    // common case.
+    uint64_t x = NextUint64();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    uint64_t low = static_cast<uint64_t>(m);
+    if (low < bound) {
+      const uint64_t threshold = -bound % bound;
+      while (low < threshold) {
+        x = NextUint64();
+        m = static_cast<__uint128_t>(x) * bound;
+        low = static_cast<uint64_t>(m);
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   /// Uniform on [0, 1) with 53 random bits.
-  double NextDouble();
+  double NextDouble() {
+    return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli(p).
   bool NextBernoulli(double p) { return NextDouble() < p; }
 
   /// Number of failures before the first success in Bernoulli(p) trials;
   /// i.e. Geometric(p) supported on {0, 1, 2, ...}. Used for skipping
-  /// ahead in random-walk generation. Precondition: 0 < p <= 1.
+  /// ahead in random-walk generation. Precondition: 0 < p <= 1. A loop
+  /// that draws many lengths at one p uses GeometricDraw instead.
   uint64_t NextGeometric(double p);
 
   /// Splits off an independently-seeded child stream. The child sequence
@@ -63,7 +97,32 @@ class Rng {
   result_type operator()() { return NextUint64(); }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
+};
+
+/// Geometric(p) draws with log1p(−p) computed once, for loops that draw
+/// many lengths at one p (every α-walk). draw(rng) returns exactly what
+/// rng.NextGeometric(p) returns, from the same single NextDouble():
+/// floor(log1p(−u) / log1p(−p)).
+class GeometricDraw {
+ public:
+  /// Precondition: 0 < p < 1 (NextGeometric(1) draws nothing).
+  explicit GeometricDraw(double p) : log_q_(std::log1p(-p)) {
+    PPR_DCHECK(p > 0.0 && p < 1.0);
+  }
+
+  uint64_t operator()(Rng& rng) const {
+    // NextDouble() < 1, so log1p(−u) is finite.
+    return static_cast<uint64_t>(
+        std::floor(std::log1p(-rng.NextDouble()) / log_q_));
+  }
+
+ private:
+  double log_q_;
 };
 
 /// Derives child stream `index` of `seed` — the (seed, i) splitting

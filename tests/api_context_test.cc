@@ -95,6 +95,97 @@ TEST(SolverContextTest, ReleaseEstimateRecordsSupportWithoutExport) {
   EXPECT_EQ(estimate->residue[2], 1.0);
 }
 
+// A tracked solve records a superset of what it writes; Release and
+// Export must then record exactly the support list the dense scan of an
+// untracked context records.
+TEST(SolverContextTest, TrackedReleaseAndExportRecordTheDenseSupport) {
+  constexpr NodeId kN = 300;
+  SolverContext dense;
+  SolverContext tracked;
+  PprEstimate* a = dense.AcquireEstimate(kN, 17);
+  PprEstimate* b = tracked.AcquireEstimate(kN, 17);
+  NodeSet* estimate_set = tracked.TrackEstimate();
+  std::vector<double>* sa = dense.AcquireScores(kN);
+  std::vector<double>* sb = tracked.AcquireScores(kN);
+  NodeSet* score_set = tracked.TrackScores();
+  for (PprEstimate* e : {a, b}) {
+    e->residue[17] = 0.0;  // the source pushed all its mass away
+    e->reserve[17] = 0.2;
+    e->residue[64] = 0.3;
+    e->reserve[250] = 0.1;
+    e->residue[299] = 0.4;
+  }
+  for (NodeId v : {NodeId{64}, NodeId{250}, NodeId{299}, NodeId{5}}) {
+    estimate_set->Insert(v);  // 5 is recorded but stays zero
+  }
+  for (std::vector<double>* s : {sa, sb}) {
+    (*s)[0] = 0.5;
+    (*s)[63] = 0.25;
+    (*s)[128] = 0.25;
+  }
+  for (NodeId v : {NodeId{0}, NodeId{63}, NodeId{128}, NodeId{200}}) {
+    score_set->Insert(v);
+  }
+
+  dense.ReleaseEstimate();
+  tracked.ReleaseEstimate();
+  EXPECT_EQ(tracked.estimate_support(), dense.estimate_support());
+  EXPECT_EQ(tracked.estimate_support(),
+            (std::vector<NodeId>{17, 64, 250, 299}));
+
+  PprResult ra;
+  PprResult rb;
+  rb.scores.assign(kN, 9.0);  // stale contents must not leak through
+  dense.ExportScores(&ra);
+  tracked.ExportScores(&rb);
+  EXPECT_EQ(rb.scores, ra.scores);
+  EXPECT_EQ(tracked.scores_support(), dense.scores_support());
+  EXPECT_EQ(tracked.scores_support(), (std::vector<NodeId>{0, 63, 128}));
+
+  // Both contexts reset sparsely to the same clean state.
+  b = tracked.AcquireEstimate(kN, 3);
+  sb = tracked.AcquireScores(kN);
+  EXPECT_EQ(tracked.full_assigns(), 2u);
+  EXPECT_EQ(tracked.sparse_resets(), 2u);
+  for (NodeId v = 0; v < kN; ++v) {
+    ASSERT_EQ(b->reserve[v], 0.0) << v;
+    ASSERT_EQ(b->residue[v], v == 3 ? 1.0 : 0.0) << v;
+    ASSERT_EQ((*sb)[v], 0.0) << v;
+  }
+}
+
+// Acquire puts the tracked set back to "all": a solver that writes
+// without recording, right after a tracked one, still has every entry
+// it wrote found and reset.
+TEST(SolverContextTest, UntrackedSolveAfterTrackedOneIsScannedInFull) {
+  constexpr NodeId kN = 200;
+  SolverContext context;
+  context.AcquireEstimate(kN, 0);
+  context.TrackEstimate();
+  context.AcquireScores(kN);
+  context.TrackScores();
+  context.ReleaseEstimate();
+  PprResult result;
+  context.ExportScores(&result);
+
+  PprEstimate* estimate = context.AcquireEstimate(kN, 1);
+  std::vector<double>* scores = context.AcquireScores(kN);
+  estimate->reserve[150] = 0.5;  // no TrackEstimate: nothing records
+  (*scores)[190] = 0.5;
+  context.ReleaseEstimate();
+  context.ExportScores(&result);
+  EXPECT_EQ(context.estimate_support(), (std::vector<NodeId>{1, 150}));
+  EXPECT_EQ(context.scores_support(), (std::vector<NodeId>{190}));
+  EXPECT_EQ(result.scores[190], 0.5);
+
+  estimate = context.AcquireEstimate(kN, 2);
+  scores = context.AcquireScores(kN);
+  EXPECT_EQ(context.full_assigns(), 2u);
+  EXPECT_EQ(estimate->reserve[150], 0.0);
+  EXPECT_EQ(estimate->residue[1], 0.0);
+  EXPECT_EQ((*scores)[190], 0.0);
+}
+
 TEST(SolverContextTest, QueueIsReusedAcrossAcquires) {
   SolverContext context;
   FifoQueue* q1 = context.AcquireQueue(16);

@@ -281,6 +281,59 @@ TEST(SolverConformanceTest, ContextReuseMatchesFreshContexts) {
   }
 }
 
+// The support-tracking protocol across solvers: speedppr and fora record
+// the nodes they touch (SolverContext::TrackEstimate/TrackScores), while
+// powerpush, fwdpush and mc leave the default "all". One context serving
+// them in turn must answer every query bit-identically to a fresh
+// context, with no full assign after the first round. On this graph the
+// two-phase solvers stay in the FIFO phase, so their sets are sparse.
+TEST(SolverConformanceTest, TrackedAndUntrackedSolversShareOneContext) {
+  Rng rng(77);
+  const Graph graph = CopyModelWeb(2000, 8, 0.55, rng);
+  const char* const specs[] = {"speedppr", "powerpush",  "fora",
+                               "fwdpush",  "speedppr-index", "mc",
+                               "fora-index"};
+  std::vector<std::unique_ptr<Solver>> solvers;
+  for (const char* spec : specs) {
+    auto created = SolverRegistry::Global().Create(spec);
+    ASSERT_TRUE(created.ok()) << spec;
+    solvers.push_back(std::move(created).ValueOrDie());
+    ASSERT_TRUE(solvers.back()->Prepare(graph).ok()) << spec;
+  }
+
+  SolverContext shared(kSeed);
+  uint64_t assigns_after_first_round = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < solvers.size(); ++i) {
+      PprQuery query;
+      query.source = static_cast<NodeId>((round * 131 + i * 17) % 2000);
+      query.top_k = 10;
+      const uint64_t seed = kSeed + round * 100 + i;
+      shared.Reseed(seed);
+      PprResult warm;
+      ASSERT_TRUE(solvers[i]->Solve(query, shared, &warm).ok()) << specs[i];
+      SolverContext fresh(seed);
+      PprResult cold;
+      ASSERT_TRUE(solvers[i]->Solve(query, fresh, &cold).ok()) << specs[i];
+      ASSERT_EQ(warm.scores, cold.scores)
+          << specs[i] << " round " << round;
+      ASSERT_EQ(warm.top_nodes, cold.top_nodes) << specs[i];
+      EXPECT_EQ(warm.stats.edge_pushes, cold.stats.edge_pushes) << specs[i];
+      EXPECT_EQ(warm.stats.walk_steps, cold.stats.walk_steps) << specs[i];
+      EXPECT_EQ(warm.stats.random_walks, cold.stats.random_walks)
+          << specs[i];
+    }
+    if (round == 0) {
+      assigns_after_first_round = shared.full_assigns();
+    } else {
+      EXPECT_EQ(shared.full_assigns(), assigns_after_first_round)
+          << "round " << round;
+    }
+  }
+  EXPECT_EQ(assigns_after_first_round, 2u)
+      << "one estimate and one score buffer, each initialized once";
+}
+
 TEST(SolverConformanceTest, SinglePairTargetMatchesFullVectorEntry) {
   for (const char* name : {"bippr", "hubppr"}) {
     auto created = SolverRegistry::Global().Create(name);

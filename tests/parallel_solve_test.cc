@@ -97,6 +97,54 @@ TEST(ResidueWalkPhaseTest, IndexServedWalksStayThreadCountInvariant) {
   EXPECT_EQ(s1.random_walks, s4.random_walks);
 }
 
+// The served SpeedPPR/FORA walk phase is the tracked serial path: it
+// visits only the recorded residue support (here a strict superset of
+// the nonzero residues, zeros included) and records its stops. It must
+// reproduce the parallel path's bits, and its stop set must cover every
+// score it wrote; the parallel merge marks its set all instead.
+TEST(ResidueWalkPhaseTest, TrackedSerialPathMatchesParallelPath) {
+  const Graph graph = MidSizeGraph();
+  const NodeId n = graph.num_nodes();
+  std::vector<double> residue(n, 0.0);
+  NodeSet support;
+  support.Clear(n);
+  for (NodeId v = 0; v < n; v += 3) {
+    residue[v] = 0.2 / (n / 3 + 1);
+    support.Insert(v);
+  }
+  for (NodeId v = 1; v < n; v += 7) support.Insert(v);  // zero residues
+  const uint64_t w = 200000;
+
+  std::vector<double> tracked(n, 0.0);
+  std::vector<double> parallel(n, 0.0);
+  NodeSet tracked_stops;
+  tracked_stops.Clear(n);
+  NodeSet parallel_stops;
+  parallel_stops.Clear(n);
+  SolveStats s1, s4;
+  Rng rng1(kSeed), rng4(kSeed);
+  ResidueWalkPhase(graph, residue, w, 0.2, rng1, /*index=*/nullptr, &tracked,
+                   &s1, /*threads=*/1, /*cancel=*/nullptr, &support,
+                   &tracked_stops);
+  ResidueWalkPhase(graph, residue, w, 0.2, rng4, /*index=*/nullptr, &parallel,
+                   &s4, /*threads=*/4, /*cancel=*/nullptr, &support,
+                   &parallel_stops);
+  ASSERT_EQ(tracked, parallel);
+  EXPECT_EQ(s1.random_walks, s4.random_walks);
+  EXPECT_EQ(s1.walk_steps, s4.walk_steps);
+  EXPECT_GT(s4.random_walks, 4096u) << "parallel path not exercised";
+
+  EXPECT_FALSE(tracked_stops.all());
+  std::vector<bool> recorded(n, false);
+  tracked_stops.ForEach([&](NodeId v) { recorded[v] = true; });
+  for (NodeId v = 0; v < n; ++v) {
+    if (tracked[v] != 0.0) {
+      ASSERT_TRUE(recorded[v]) << "unrecorded stop v=" << v;
+    }
+  }
+  EXPECT_TRUE(parallel_stops.all());
+}
+
 TEST(MonteCarloTest, BitIdenticalAcrossThreadCounts) {
   const Graph graph = testing::SmallGraphZoo()[7].graph;  // ba_120
   ApproxOptions options;

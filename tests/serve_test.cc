@@ -384,6 +384,69 @@ TEST(PprServerTest, ContextPoolRecyclesInsteadOfAllocatingPerQuery) {
   server.Stop();
 }
 
+TEST(PprServerTest, OnePooledContextAlternatesTrackedAndUntrackedSolvers) {
+  // speedppr and fora record their touched nodes in the pooled context;
+  // powerpush, fwdpush and mc leave its sets at "all". Two workers share
+  // one context, so the solvers interleave on it in whatever order the
+  // workers take them; every served result must still equal a
+  // fresh-context serial solve, and no round after the first may pay a
+  // full assign.
+  Rng rng(78);
+  const Graph graph = CopyModelWeb(2000, 8, 0.55, rng);
+  const std::vector<std::string> specs = {"speedppr", "powerpush", "fora",
+                                          "fwdpush", "mc"};
+  PprServerOptions options;
+  options.workers = 2;
+  options.contexts = 1;
+  PprServer server(options);
+  std::vector<std::unique_ptr<Solver>> references;
+  for (const std::string& spec : specs) {
+    ASSERT_TRUE(server.AddSolver(spec, graph).ok()) << spec;
+    auto created = SolverRegistry::Global().Create(spec);
+    ASSERT_TRUE(created.ok()) << spec;
+    references.push_back(std::move(created).ValueOrDie());
+    ASSERT_TRUE(references.back()->Prepare(graph).ok()) << spec;
+  }
+  ASSERT_TRUE(server.Start().ok());
+
+  uint64_t assigns_after_first_round = 0;
+  for (unsigned round = 0; round < 4; ++round) {
+    std::vector<PprFuture> futures;
+    for (unsigned i = 0; i < specs.size(); ++i) {
+      PprQuery query;
+      query.source = (round * 97 + i * 13) % graph.num_nodes();
+      query.top_k = 10;
+      auto submitted = server.Submit(query, specs[i], QuerySeed(round, i));
+      ASSERT_TRUE(submitted.ok()) << specs[i];
+      futures.push_back(std::move(submitted).ValueOrDie());
+    }
+    for (unsigned i = 0; i < specs.size(); ++i) {
+      PprResult served;
+      ASSERT_TRUE(futures[i].Get(&served).ok()) << specs[i];
+      PprQuery query;
+      query.source = (round * 97 + i * 13) % graph.num_nodes();
+      query.top_k = 10;
+      SolverContext fresh(QuerySeed(round, i));
+      PprResult expected;
+      ASSERT_TRUE(references[i]->Solve(query, fresh, &expected).ok());
+      ASSERT_EQ(served.scores, expected.scores)
+          << specs[i] << " round " << round;
+      ASSERT_EQ(served.top_nodes, expected.top_nodes) << specs[i];
+      EXPECT_EQ(served.stats.edge_pushes, expected.stats.edge_pushes);
+      EXPECT_EQ(served.stats.walk_steps, expected.stats.walk_steps);
+    }
+    if (round == 0) {
+      assigns_after_first_round = server.context_pool().TotalFullAssigns();
+    } else {
+      EXPECT_EQ(server.context_pool().TotalFullAssigns(),
+                assigns_after_first_round)
+          << "round " << round;
+    }
+  }
+  EXPECT_EQ(assigns_after_first_round, 2u);
+  server.Stop();
+}
+
 TEST(PprServerTest, SoakMixedSolversUnderManyClients) {
   // Soak: two hosted solvers, 4 client threads interleaving 25 queries
   // each; every submission is accounted for, nothing hangs, nothing is

@@ -1,7 +1,12 @@
 #include "approx/speedppr.h"
 
+#include <bit>
+#include <memory>
+
 #include <gtest/gtest.h>
 
+#include "api/registry.h"
+#include "core/power_push.h"
 #include "eval/metrics.h"
 #include "test_util.h"
 
@@ -132,6 +137,134 @@ TEST(SpeedPprTest, DeterministicGivenSeed) {
   SpeedPpr(g, 0, options, a, &ea);
   SpeedPpr(g, 0, options, b, &eb);
   EXPECT_EQ(ea, eb);
+}
+
+/// FNV-1a over the bits of everything a served two-phase query returns:
+/// scores, top_nodes, the work counters and the advertised bound.
+class ResultHash {
+ public:
+  void Add(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ = (hash_ ^ ((word >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+  void Add(double x) { Add(std::bit_cast<uint64_t>(x)); }
+  void Add(const PprResult& result) {
+    for (double x : result.scores) Add(x);
+    for (NodeId v : result.top_nodes) Add(uint64_t{v});
+    Add(result.stats.push_operations);
+    Add(result.stats.edge_pushes);
+    Add(result.stats.random_walks);
+    Add(result.stats.walk_steps);
+    Add(result.stats.final_rsum);
+    Add(result.l1_bound);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+enum class PinGraph { kCopyWeb, kChungLuDeadEnds, kComplete };
+
+Graph MakePinGraph(PinGraph which) {
+  Rng rng(2024);
+  switch (which) {
+    case PinGraph::kCopyWeb:
+      return CopyModelWeb(3000, 8, 0.55, rng);
+    case PinGraph::kChungLuDeadEnds:
+      return ChungLuPowerLaw(2000, 3.0, 2.2, rng);
+    case PinGraph::kComplete:
+      return CompleteGraph(60);
+  }
+  __builtin_unreachable();
+}
+
+/// Which branch SpeedPPR's phase 1 takes on `graph` at (ε, μ) — the
+/// property a pinned case claims to cover.
+enum class PinPhase { kFifoOnly, kScan, kMonteCarlo, kFora };
+
+PinPhase SpeedPprPhase(const Graph& graph, NodeId source, double eps,
+                       double mu) {
+  ApproxOptions approx;
+  approx.epsilon = eps;
+  approx.mu = mu;
+  if (SpeedPprUsesMonteCarloFallback(graph, approx)) {
+    return PinPhase::kMonteCarlo;
+  }
+  const NodeId n = graph.num_nodes();
+  PowerPushOptions options;
+  options.relax = false;
+  options.lambda =
+      static_cast<double>(graph.num_edges()) /
+      static_cast<double>(ChernoffWalkCount(n, eps, approx.ResolvedMu(n)));
+  PprEstimate estimate;
+  return PowerPush(graph, source, options, &estimate).iterations > 0
+             ? PinPhase::kScan
+             : PinPhase::kFifoOnly;
+}
+
+// Bit pins: the FNV hash of five warm-context top-10 queries per case,
+// recorded from the dense-sweep implementation. The support-tracked
+// workspace (SolverContext::TrackEstimate/TrackScores) must reproduce
+// every bit, on the FIFO-only path, through the scan phase (where the
+// recorded set becomes "all"), in the Monte Carlo fallback, and with and
+// without a walk index.
+TEST(SpeedPprTest, ServedResultsMatchPinnedBits) {
+  struct PinCase {
+    const char* spec;
+    PinGraph graph;
+    PinPhase phase;
+    double eps;
+    double mu;
+    uint64_t hash;
+  };
+  const PinCase cases[] = {
+      {"speedppr", PinGraph::kCopyWeb, PinPhase::kFifoOnly, 0.5, 0.0,
+       0x2b4e59239b11f621ULL},
+      {"speedppr-index", PinGraph::kCopyWeb, PinPhase::kFifoOnly, 0.5, 0.0,
+       0x915e7a150ba7a789ULL},
+      {"speedppr:eps=0.1", PinGraph::kChungLuDeadEnds, PinPhase::kScan, 0.1,
+       0.0, 0x36d9bea9d3f8b994ULL},
+      {"speedppr-index:eps=0.1", PinGraph::kChungLuDeadEnds, PinPhase::kScan,
+       0.1, 0.0, 0xdd606a79d19961adULL},
+      {"speedppr:mu=0.5", PinGraph::kComplete, PinPhase::kMonteCarlo, 0.5,
+       0.5, 0x9c231b15ffbf0038ULL},
+      {"fora", PinGraph::kCopyWeb, PinPhase::kFora, 0.5, 0.0,
+       0x340e0b1c6f61094eULL},
+      {"fora-index", PinGraph::kCopyWeb, PinPhase::kFora, 0.5, 0.0,
+       0x01e6f24cb96e837cULL},
+      {"fora:eps=0.3", PinGraph::kChungLuDeadEnds, PinPhase::kFora, 0.3, 0.0,
+       0x5179bd165dd28e8aULL},
+  };
+  for (const PinCase& pin : cases) {
+    const Graph graph = MakePinGraph(pin.graph);
+    if (pin.graph == PinGraph::kChungLuDeadEnds) {
+      ASSERT_GT(graph.CountDeadEnds(), 0u);
+    }
+    auto created = SolverRegistry::Global().Create(pin.spec);
+    ASSERT_TRUE(created.ok()) << pin.spec;
+    std::unique_ptr<Solver> solver = std::move(created).ValueOrDie();
+    ASSERT_TRUE(solver->Prepare(graph).ok()) << pin.spec;
+    SolverContext context;
+    ResultHash hash;
+    for (NodeId source : {NodeId{0}, NodeId{7}, NodeId{21}, NodeId{7},
+                          NodeId{42}}) {
+      if (pin.phase != PinPhase::kFora) {
+        ASSERT_EQ(SpeedPprPhase(graph, source, pin.eps, pin.mu), pin.phase)
+            << pin.spec << " source=" << source;
+      }
+      PprQuery query;
+      query.source = source;
+      query.top_k = 10;
+      context.Reseed(1000 + source);
+      PprResult result;
+      ASSERT_TRUE(solver->Solve(query, context, &result).ok()) << pin.spec;
+      hash.Add(result);
+    }
+    EXPECT_EQ(hash.value(), pin.hash)
+        << pin.spec << " hashed 0x" << std::hex << hash.value();
+  }
 }
 
 }  // namespace

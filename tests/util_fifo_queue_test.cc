@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.h"
+
 namespace ppr {
 namespace {
 
@@ -72,6 +74,76 @@ TEST(FifoQueueTest, ClearEmptiesAndResetsMembership) {
     EXPECT_FALSE(q.Contains(v));
     EXPECT_TRUE(q.PushIfAbsent(v));
   }
+}
+
+TEST(FifoQueueTest, PushIfActiveNeverQueuesAnInactiveNode) {
+  FifoQueue q(6);
+  q.PushIfActive(2, false);
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.Contains(2));
+  q.PushIfActive(2, true);
+  q.PushIfActive(4, false);
+  ASSERT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.Pop(), 2u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(FifoQueueTest, PushIfActiveDoesNotDuplicateAQueuedNode) {
+  FifoQueue q(6);
+  q.PushIfActive(3, true);
+  q.PushIfActive(3, true);
+  q.PushIfActive(5, true);
+  q.PushIfActive(3, false);  // an inactive write leaves membership alone
+  EXPECT_TRUE(q.Contains(3));
+  ASSERT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.Pop(), 3u);
+  q.PushIfActive(3, true);  // re-activation after the pop
+  EXPECT_EQ(q.Pop(), 5u);
+  EXPECT_EQ(q.Pop(), 3u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(FifoQueueTest, PushIfActiveWrapsTheRingAndFillsTheUniverse) {
+  // The branchless form writes the free tail slot even when it does not
+  // append, so it must stay safe at the ring's last slot and when every
+  // id is queued.
+  constexpr uint32_t kN = 5;
+  FifoQueue q(kN);
+  for (int round = 0; round < 23; ++round) {
+    const uint32_t a = round % kN;
+    const uint32_t b = (round + 2) % kN;
+    q.PushIfActive(a, true);
+    q.PushIfActive(a, true);
+    q.PushIfActive(b, round % 3 != 0);
+    ASSERT_EQ(q.Pop(), a) << round;
+    if (round % 3 != 0) ASSERT_EQ(q.Pop(), b) << round;
+    ASSERT_TRUE(q.empty()) << round;
+  }
+  for (uint32_t v = 0; v < kN; ++v) q.PushIfActive(v, true);
+  for (uint32_t v = 0; v < kN; ++v) q.PushIfActive(v, true);
+  ASSERT_EQ(q.size(), kN);
+  for (uint32_t v = 0; v < kN; ++v) ASSERT_EQ(q.Pop(), v);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(FifoQueueTest, PushIfActiveMatchesBranchingPushIfAbsent) {
+  // Same random activity stream into both forms: identical queues.
+  FifoQueue branchless(64);
+  FifoQueue branching(64);
+  Rng rng(5);
+  for (int step = 0; step < 20000; ++step) {
+    if (rng.NextBounded(3) == 0 && !branching.empty()) {
+      ASSERT_EQ(branchless.Pop(), branching.Pop()) << step;
+      continue;
+    }
+    const uint32_t v = static_cast<uint32_t>(rng.NextBounded(64));
+    const bool active = rng.NextBounded(2) == 0;
+    branchless.PushIfActive(v, active);
+    if (active) branching.PushIfAbsent(v);
+    ASSERT_EQ(branchless.size(), branching.size()) << step;
+  }
+  while (!branching.empty()) ASSERT_EQ(branchless.Pop(), branching.Pop());
+  EXPECT_TRUE(branchless.empty());
 }
 
 TEST(FifoQueueTest, InterleavedPushPop) {

@@ -85,6 +85,48 @@ TEST(RngTest, GeometricWithPOneIsZero) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.NextGeometric(1.0), 0u);
 }
 
+TEST(RngTest, GeometricDrawMatchesNextGeometricDrawForDraw) {
+  // The walk kernels hoist log1p(−α) out of the walk loop; that must
+  // not move a single walk length.
+  for (double p : {0.01, 0.15, 0.2, 0.5, 0.9}) {
+    const GeometricDraw draw(p);
+    Rng hoisted(19);
+    Rng reference(19);
+    for (int i = 0; i < 1000000; ++i) {
+      ASSERT_EQ(draw(hoisted), reference.NextGeometric(p))
+          << "p=" << p << " draw " << i;
+    }
+  }
+}
+
+TEST(RngTest, NextBoundedSequenceIsPinned) {
+  // Regression pin for the inline Lemire draw, taken from the
+  // out-of-line one it replaced. The 2^63 + 1 bound rejects about half
+  // its draws, so the pin covers the rejection loop too.
+  Rng rng(31);
+  const uint64_t bounds[] = {1,          2,          3,
+                             7,          10,         1000,
+                             1000000007, 1ULL << 40, (1ULL << 63) + 1,
+                             ~0ULL};
+  std::vector<uint64_t> draws;
+  for (uint64_t bound : bounds) {
+    for (int i = 0; i < 3; ++i) draws.push_back(rng.NextBounded(bound));
+  }
+  const std::vector<uint64_t> expected = {  // three draws per bound
+      0ULL, 0ULL, 0ULL,
+      1ULL, 1ULL, 0ULL,
+      1ULL, 2ULL, 0ULL,
+      5ULL, 0ULL, 3ULL,
+      8ULL, 7ULL, 9ULL,
+      654ULL, 820ULL, 567ULL,
+      743071647ULL, 896105147ULL, 257331260ULL,
+      735220838965ULL, 142379415880ULL, 1069672452188ULL,
+      7334859848486804775ULL, 4174677676547204493ULL, 8773239997401343399ULL,
+      11272693709127580574ULL, 1919419054358300760ULL, 1960967531106084828ULL,
+  };
+  EXPECT_EQ(draws, expected);
+}
+
 TEST(RngTest, SplitProducesIndependentStream) {
   Rng parent(21);
   Rng child = parent.Split();
