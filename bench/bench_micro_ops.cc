@@ -2,11 +2,11 @@
 // result in the paper: push operations (queue vs sequential scan — the
 // core §5 trade-off), random-walk steps, SpeedPPR's walk phase serial
 // and through the shared pool, one whole served SpeedPPR query, SpMV,
-// walk-index lookups, and the top-k selection every served result with
-// top_k > 0 runs.
+// walk-index lookups, the top-k selection every served result with
+// top_k > 0 runs, and one warm dynfwdpush read.
 //
-// CI's bench smoke runs the walk, push, query and top-k cases and keeps the
-// JSON (--benchmark_out=<dir>/BENCH_micro_ops.json
+// CI's bench smoke runs the walk, push, query, top-k and read cases and
+// keeps the JSON (--benchmark_out=<dir>/BENCH_micro_ops.json
 // --benchmark_out_format=json), so the kernel layer's edge pushes/s and
 // walk steps/s are recorded with the other BENCH files.
 
@@ -14,7 +14,9 @@
 
 #include <cmath>
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "api/context.h"
 #include "api/registry.h"
@@ -267,19 +269,111 @@ void BM_SpMV(benchmark::State& state) {
 }
 BENCHMARK(BM_SpMV)->Unit(benchmark::kMillisecond);
 
-// Top-10 of an n-long score vector: arg 0 is log2(n).
-void BM_TopK(benchmark::State& state) {
-  const size_t n = size_t{1} << state.range(0);
-  Rng rng(7);
-  std::vector<double> values(n);
-  for (double& v : values) v = rng.NextDouble();
+/// The score vectors of `count` warm-context registry Solves of `spec`
+/// on `dataset` at scale 1 (n = 32,768), from sources drawn with a fixed
+/// seed. Cached per spec.
+const std::vector<std::vector<double>>& ServedScores(const std::string& dataset,
+                                                     const std::string& spec,
+                                                     size_t count) {
+  static auto* cache =
+      new std::map<std::string, std::vector<std::vector<double>>>();
+  auto [it, fresh] = cache->try_emplace(spec);
+  if (!fresh) return it->second;
+  const Graph graph = MakeDataset(FindDataset(dataset), 1.0);
+  auto created = SolverRegistry::Global().Create(spec);
+  PPR_CHECK(created.ok()) << created.status().ToString();
+  const std::unique_ptr<Solver> solver = std::move(created).ValueOrDie();
+  PPR_CHECK(solver->Prepare(graph).ok());
+  SolverContext context;
+  PprResult result;
+  Rng pick(12);
+  for (size_t i = 0; i < count; ++i) {
+    PprQuery query;
+    query.source = static_cast<NodeId>(pick.NextBounded(graph.num_nodes()));
+    context.Reseed(i);
+    PPR_CHECK(solver->Solve(query, context, &result).ok());
+    it->second.push_back(result.scores);
+  }
+  return it->second;
+}
+
+// Top-10 of score vectors, cycling to the next vector per iteration;
+// items are the entries scanned.
+void RunTopK(benchmark::State& state,
+             const std::vector<std::vector<double>>& vectors) {
+  uint64_t entries = 0;
+  size_t next = 0;
   for (auto _ : state) {
+    const std::vector<double>& values = vectors[next++ % vectors.size()];
     std::vector<uint32_t> top = TopK(values, 10);
     benchmark::DoNotOptimize(top.data());
+    entries += values.size();
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
+  state.SetItemsProcessed(static_cast<int64_t>(entries));
+}
+
+// One vector of uniform doubles: arg 0 is log2(n).
+void BM_TopK(benchmark::State& state) {
+  std::vector<std::vector<double>> vectors(
+      1, std::vector<double>(size_t{1} << state.range(0)));
+  Rng rng(7);
+  for (double& v : vectors[0]) v = rng.NextDouble();
+  RunTopK(state, vectors);
 }
 BENCHMARK(BM_TopK)->Arg(15)->Arg(17);
+
+// The results perfbench's reads select from: 8 dense dynfwdpush reserves
+// on dblp-sim (dynamic-mixed; every entry nonzero, 2 MB in all) and 64
+// speedppr:eps=0.5 score vectors on webst-sim (approx-serve; a few
+// percent nonzero, 16 MB in all). Both sets outgrow a core's private
+// caches, as the vectors a server's reads scan do.
+void BM_TopK(benchmark::State& state, const char* dataset, const char* spec,
+             size_t count) {
+  RunTopK(state, ServedScores(dataset, spec, count));
+}
+BENCHMARK_CAPTURE(BM_TopK, dblp_dynfwdpush_reserve, "dblp-sim",
+                  "dynfwdpush:lambda=1e-4", 8);
+BENCHMARK_CAPTURE(BM_TopK, webst_speedppr_scores, "webst-sim",
+                  "speedppr:eps=0.5", 64);
+
+// One warm dynamic-mixed read inside the solver: a registry Solve of
+// dynfwdpush:lambda=1e-4 with top_k = 10 on dblp-sim, cycling over 16
+// sources whose trackers were built before timing, on a thread marked as
+// a parallel worker, as on a PprServer worker. The read copies the
+// maintained reserve and selects its top 10; items are reads.
+void BM_DynFwdPushRead(benchmark::State& state) {
+  static const Graph* graph =
+      new Graph(MakeDataset(FindDataset("dblp-sim"), 1.0));
+  static Solver* solver = [] {
+    auto created = SolverRegistry::Global().Create("dynfwdpush:lambda=1e-4");
+    PPR_CHECK(created.ok()) << created.status().ToString();
+    Solver* s = std::move(created).ValueOrDie().release();
+    PPR_CHECK(s->Prepare(*graph).ok());
+    return s;
+  }();
+  std::vector<NodeId> sources(16);
+  Rng pick(12);
+  for (NodeId& source : sources) {
+    source = static_cast<NodeId>(pick.NextBounded(graph->num_nodes()));
+  }
+  internal::ScopedParallelWorker served_like;
+  SolverContext context;
+  PprResult result;
+  PprQuery query;
+  query.top_k = 10;
+  for (NodeId source : sources) {
+    query.source = source;
+    PPR_CHECK(solver->Solve(query, context, &result).ok());
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    query.source = sources[next++ % sources.size()];
+    PPR_CHECK(solver->Solve(query, context, &result).ok());
+    benchmark::DoNotOptimize(result.top_nodes.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DynFwdPushRead)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace ppr

@@ -52,7 +52,9 @@ done
 # ParallelFor, one context per chunk. DynamicConcurrentReadTest calls
 # Solve on one dynamic solver from several threads: cold tracker builds
 # outside the solver lock, racing first reads of one source, and warm
-# copies of maintained estimates.
+# copies of maintained estimates. DynamicConcurrentRepairTest runs
+# DynamicSspprPool::Apply's end-of-batch tracker refreshes on the
+# WorkerPool and compares them with serial ones bit for bit.
 TSAN_FILTER='WorkerPool*:ThreadBudget*:PprServer*:ParallelFor*:Batch*:DynamicResize*:DynamicConcurrent*'
 
 case "${MODE}" in

@@ -31,10 +31,13 @@ namespace ppr {
 /// kernels insert every node they touch into the returned NodeSet (or
 /// mark it all, e.g. PowerPush's scan phase), and Release/Export visit
 /// only its members. SpeedPPR and FORA do this, so their workspace
-/// stages cost O(touched + n/64); ExportScores' copy into the result
-/// and the result's TopK stay O(n). Acquire*() puts the set back to
-/// "all", so a solver that does not record can never leave a stale
-/// set behind for the next one.
+/// stages cost O(touched + n/64). ExportScores' copy into the result
+/// stays O(n). So does the result's TopK, but it tests 16 entries at a
+/// time with vector compares and goes entry by entry only through the
+/// blocks that hold a candidate: 11–17 µs for an n = 32,768 vector
+/// outside the core's private caches (eval/metrics.h). Acquire*() puts
+/// the set back to "all", so a solver that does not record can never
+/// leave a stale set behind for the next one.
 ///
 /// A context is not thread-safe; batch drivers create one per worker.
 /// One context can serve many solvers and many graphs — switching graph

@@ -74,9 +74,9 @@ const SolverSpec::Option* OptionReader::Take(std::string_view key) {
   return found;
 }
 
-OptionReader& OptionReader::Double(std::string_view key, double* out) {
+bool OptionReader::ReadDouble(std::string_view key, double* out) {
   const SolverSpec::Option* option = Take(key);
-  if (option == nullptr) return *this;
+  if (option == nullptr) return false;
   char* end = nullptr;
   const double value = std::strtod(option->value.c_str(), &end);
   if (end == option->value.c_str() || *end != '\0') {
@@ -85,9 +85,21 @@ OptionReader& OptionReader::Double(std::string_view key, double* out) {
                                         "' expects a number, got '" +
                                         option->value + "'");
     }
-    return *this;
+    return false;
   }
   *out = value;
+  return true;
+}
+
+OptionReader& OptionReader::Double(std::string_view key, double* out) {
+  ReadDouble(key, out);
+  return *this;
+}
+
+OptionReader& OptionReader::Parameter(std::string_view key, double* out) {
+  if (ReadDouble(key, out) && status_.ok()) {
+    status_ = CheckParameter(key, *out);
+  }
   return *this;
 }
 

@@ -41,6 +41,9 @@ class OptionReader {
   explicit OptionReader(const SolverSpec& spec);
 
   OptionReader& Double(std::string_view key, double* out);
+  /// A PPR parameter (alpha, lambda, eps, mu): Double, and then the
+  /// value must pass CheckParameter.
+  OptionReader& Parameter(std::string_view key, double* out);
   OptionReader& Uint64(std::string_view key, uint64_t* out);
   OptionReader& Int(std::string_view key, int* out);
   OptionReader& Bool(std::string_view key, bool* out);
@@ -51,6 +54,8 @@ class OptionReader {
 
  private:
   const SolverSpec::Option* Take(std::string_view key);
+  /// Double's parse; true when `key` was given as a number.
+  bool ReadDouble(std::string_view key, double* out);
 
   const SolverSpec& spec_;
   std::vector<bool> consumed_;

@@ -1,6 +1,8 @@
 #include "api/solver.h"
 
+#include <cmath>
 #include <limits>
+#include <sstream>
 #include <utility>
 
 #include "eval/metrics.h"
@@ -31,6 +33,20 @@ Result<GraphOrder> ParseGraphOrder(std::string_view text) {
   return Status::InvalidArgument("option 'order' expects none, degree or "
                                  "bfs; got '" +
                                  std::string(text) + "'");
+}
+
+Status CheckParameter(std::string_view key, double value) {
+  const bool fraction = key == "alpha" || key == "lambda";
+  // Written so that NaN fails both tests.
+  if (fraction ? value > 0.0 && value < 1.0
+               : std::isfinite(value) && value > 0.0) {
+    return Status::OK();
+  }
+  std::ostringstream message;
+  message << key
+          << (fraction ? " must lie in (0, 1)" : " must be finite and > 0")
+          << "; got " << value;
+  return Status::InvalidArgument(message.str());
 }
 
 namespace {
@@ -89,6 +105,15 @@ Status Solver::Solve(const PprQuery& query, SolverContext& context,
   }
   if (query.target != kNoTarget && query.target >= current_n) {
     return Status::InvalidArgument("query target out of range");
+  }
+  const std::pair<std::string_view, double> parameters[] = {
+      {"alpha", query.alpha},
+      {"lambda", query.lambda},
+      {"eps", query.epsilon},
+      {"mu", query.mu}};
+  for (const auto& [key, value] : parameters) {
+    // 0 is unset: the solver's configured value applies.
+    if (value != 0.0) PPR_RETURN_IF_ERROR(CheckParameter(key, value));
   }
   // Boundary cancellation checks bracket DoSolve: the pre-check stops a
   // query that is already cancelled/expired before any compute, and the

@@ -29,6 +29,15 @@ enum class GraphOrder {
 /// Parses an order= option value ("none", "degree", "bfs").
 Result<GraphOrder> ParseGraphOrder(std::string_view text);
 
+/// The range of a PPR parameter, named by its option key: "alpha" and
+/// "lambda" must lie in (0, 1), and "eps" and "mu" must be finite and
+/// > 0. Returns InvalidArgument naming the key otherwise. Every value is
+/// checked once, where it is resolved: Solver::Solve checks each set
+/// (non-zero) PprQuery field, and the registry factories check each
+/// alpha, lambda, eps and mu option they are given (OptionReader::
+/// Parameter). So no accepted value reaches a kernel's PPR_CHECK.
+Status CheckParameter(std::string_view key, double value);
+
 /// What a solver computes, grouped the way the paper groups algorithms.
 enum class SolverFamily {
   /// Deterministic ℓ1-bounded whole-vector estimate (FwdPush, PowerPush,
@@ -98,7 +107,8 @@ class Solver {
 
   /// Answers one query. `result` is overwritten. Returns
   /// FailedPrecondition when Prepare() has not succeeded and
-  /// InvalidArgument for out-of-range sources/targets. Concurrent calls
+  /// InvalidArgument for out-of-range sources/targets or a set parameter
+  /// outside its range (CheckParameter). Concurrent calls
   /// on one solver are safe when each thread uses its own context —
   /// implementations must keep per-query mutable state in the
   /// SolverContext (BatchSolve relies on this).

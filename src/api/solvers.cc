@@ -1242,8 +1242,8 @@ Result<std::unique_ptr<Solver>> MakeForwardPush(const SolverSpec& spec,
   CommonOptions common;
   OptionReader reader(spec);
   common.Read(reader);
-  reader.Double("alpha", &params.alpha)
-      .Double("lambda", &params.lambda)
+  reader.Parameter("alpha", &params.alpha)
+      .Parameter("lambda", &params.lambda)
       .Double("rmax", &rmax);
   PPR_RETURN_IF_ERROR(reader.Finish());
   return FinishSolver(common, std::unique_ptr<Solver>(new ForwardPushSolver(
@@ -1256,8 +1256,8 @@ Result<std::unique_ptr<Solver>> MakeDynFwdPush(const SolverSpec& spec) {
   CommonOptions common;
   OptionReader reader(spec);
   common.Read(reader);
-  reader.Double("alpha", &params.alpha)
-      .Double("lambda", &params.lambda)
+  reader.Parameter("alpha", &params.alpha)
+      .Parameter("lambda", &params.lambda)
       .Double("rmax", &rmax);
   PPR_RETURN_IF_ERROR(reader.Finish());
   return FinishSolver(common, std::unique_ptr<Solver>(new DynFwdPushSolver(
@@ -1274,8 +1274,8 @@ Result<std::unique_ptr<Solver>> MakePowerPush(const SolverSpec& spec) {
   CommonOptions common;
   OptionReader reader(spec);
   common.Read(reader);
-  reader.Double("alpha", &params.alpha)
-      .Double("lambda", &lambda)
+  reader.Parameter("alpha", &params.alpha)
+      .Parameter("lambda", &lambda)
       .Int("epochs", &epochs)
       .Double("scan_threshold", &scan_threshold)
       .Bool("queue_phase", &queue_phase)
@@ -1295,7 +1295,8 @@ Result<std::unique_ptr<Solver>> MakePowerIteration(const SolverSpec& spec) {
   CommonOptions common;
   OptionReader reader(spec);
   common.Read(reader);
-  reader.Double("alpha", &params.alpha).Double("lambda", &params.lambda);
+  reader.Parameter("alpha", &params.alpha)
+      .Parameter("lambda", &params.lambda);
   PPR_RETURN_IF_ERROR(reader.Finish());
   return FinishSolver(common,
                       std::unique_ptr<Solver>(new PowerIterationSolver(params)));
@@ -1307,7 +1308,8 @@ Result<std::unique_ptr<Solver>> MakePageRank(const SolverSpec& spec) {
   CommonOptions common;
   OptionReader reader(spec);
   common.Read(reader);
-  reader.Double("alpha", &params.alpha).Double("lambda", &params.lambda);
+  reader.Parameter("alpha", &params.alpha)
+      .Parameter("lambda", &params.lambda);
   PPR_RETURN_IF_ERROR(reader.Finish());
   return FinishSolver(common,
                       std::unique_ptr<Solver>(new PageRankSolver(params)));
@@ -1319,8 +1321,8 @@ Result<std::unique_ptr<Solver>> MakeBepi(const SolverSpec& spec) {
   CommonOptions common;
   OptionReader reader(spec);
   common.Read(reader);
-  reader.Double("alpha", &params.alpha)
-      .Double("lambda", &params.lambda)
+  reader.Parameter("alpha", &params.alpha)
+      .Parameter("lambda", &params.lambda)
       .Uint64("max_iterations", &max_iterations);
   PPR_RETURN_IF_ERROR(reader.Finish());
   return FinishSolver(common, std::unique_ptr<Solver>(new BepiApiSolver(
@@ -1332,9 +1334,9 @@ Result<std::unique_ptr<Solver>> MakeMonteCarlo(const SolverSpec& spec) {
   CommonOptions common;
   OptionReader reader(spec);
   common.Read(reader);
-  reader.Double("alpha", &params.alpha)
-      .Double("eps", &params.epsilon)
-      .Double("mu", &params.mu);
+  reader.Parameter("alpha", &params.alpha)
+      .Parameter("eps", &params.epsilon)
+      .Parameter("mu", &params.mu);
   PPR_RETURN_IF_ERROR(reader.Finish());
   return FinishSolver(common,
                       std::unique_ptr<Solver>(new MonteCarloSolver(params)));
@@ -1351,9 +1353,9 @@ Result<std::unique_ptr<Solver>> MakeTwoPhase(const SolverSpec& spec,
   CommonOptions common;
   OptionReader reader(spec);
   common.Read(reader);
-  reader.Double("alpha", &params.alpha)
-      .Double("eps", &params.epsilon)
-      .Double("mu", &params.mu)
+  reader.Parameter("alpha", &params.alpha)
+      .Parameter("eps", &params.epsilon)
+      .Parameter("mu", &params.mu)
       .Uint64("seed", &seed)
       .String("cache_dir", &cache_dir);
   if (!default_indexed) {
@@ -1385,9 +1387,9 @@ Result<std::unique_ptr<Solver>> MakeDynTwoPhase(const SolverSpec& spec,
   CommonOptions common;
   OptionReader reader(spec);
   common.Read(reader);
-  reader.Double("alpha", &params.alpha)
-      .Double("eps", &params.epsilon)
-      .Double("mu", &params.mu)
+  reader.Parameter("alpha", &params.alpha)
+      .Parameter("eps", &params.epsilon)
+      .Parameter("mu", &params.mu)
       .Uint64("seed", &seed);
   if (kind == TwoPhaseSolver::Kind::kFora) {
     // drift= only matters to the W-dependent kForaPlus sizing; the
@@ -1409,9 +1411,9 @@ Result<std::unique_ptr<Solver>> MakeResAcc(const SolverSpec& spec) {
   CommonOptions common;
   OptionReader reader(spec);
   common.Read(reader);
-  reader.Double("alpha", &params.alpha)
-      .Double("eps", &params.epsilon)
-      .Double("mu", &params.mu);
+  reader.Parameter("alpha", &params.alpha)
+      .Parameter("eps", &params.epsilon)
+      .Parameter("mu", &params.mu);
   PPR_RETURN_IF_ERROR(reader.Finish());
   return FinishSolver(common,
                       std::unique_ptr<Solver>(new ResAccSolver(params)));
@@ -1424,8 +1426,8 @@ Result<std::unique_ptr<Solver>> MakeBiPpr(const SolverSpec& spec) {
   CommonOptions common;
   OptionReader reader(spec);
   common.Read(reader);
-  reader.Double("alpha", &params.alpha)
-      .Double("eps", &params.epsilon)
+  reader.Parameter("alpha", &params.alpha)
+      .Parameter("eps", &params.epsilon)
       .Double("delta", &delta)
       .Double("rmax", &rmax);
   PPR_RETURN_IF_ERROR(reader.Finish());
@@ -1440,8 +1442,8 @@ Result<std::unique_ptr<Solver>> MakeHubPpr(const SolverSpec& spec) {
   CommonOptions common;
   OptionReader reader(spec);
   common.Read(reader);
-  reader.Double("alpha", &params.alpha)
-      .Double("eps", &params.epsilon)
+  reader.Parameter("alpha", &params.alpha)
+      .Parameter("eps", &params.epsilon)
       .Uint64("hubs", &hubs)
       .Double("rmax", &rmax);
   PPR_RETURN_IF_ERROR(reader.Finish());

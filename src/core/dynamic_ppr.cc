@@ -5,6 +5,7 @@
 
 #include "core/power_push.h"
 #include "util/fifo_queue.h"
+#include "util/parallel.h"
 
 namespace ppr {
 
@@ -244,9 +245,26 @@ Status DynamicSspprPool::Apply(
     }
     if (applied) applied(up);
   }
-  uint64_t total = 0;
-  for (auto& [source, tracker] : trackers_) total += tracker->Refresh();
-  if (pushes != nullptr) *pushes += total;
+  // The repairs are independent: each tracker reads the shared graph,
+  // which nothing mutates until Apply returns, and writes only its own
+  // estimate, so they run on the WorkerPool with each tracker's
+  // arithmetic, and so its bits, unchanged. On a thread that already
+  // counts as a parallel worker ParallelFor runs them serially.
+  std::vector<DynamicSsppr*> trackers;
+  trackers.reserve(trackers_.size());
+  for (auto& [source, tracker] : trackers_) trackers.push_back(tracker.get());
+  std::vector<uint64_t> repair_pushes(trackers.size());
+  ParallelFor(
+      0, trackers.size(),
+      [&](uint64_t begin, uint64_t end, unsigned) {
+        for (uint64_t i = begin; i < end; ++i) {
+          repair_pushes[i] = trackers[i]->Refresh();
+        }
+      },
+      /*grain=*/1);
+  if (pushes != nullptr) {
+    for (uint64_t count : repair_pushes) *pushes += count;
+  }
   return Status::OK();
 }
 

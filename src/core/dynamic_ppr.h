@@ -165,8 +165,11 @@ class DynamicSspprPool {
 
   /// Validates and applies the batch: per-update algebraic corrections
   /// on every tracker interleaved with the graph mutations, then one
-  /// Refresh per tracker. On validation error nothing is applied. The
-  /// total repair pushes are added to *pushes when non-null.
+  /// Refresh per tracker. The refreshes run through ParallelFor, one
+  /// tracker per item, on the shared WorkerPool, or serially on a thread
+  /// that already counts as a parallel worker; each tracker's result is
+  /// bit-identical either way. On validation error nothing is applied.
+  /// The total repair pushes are added to *pushes when non-null.
   ///
   /// `applied`, when set, runs immediately after each mutation lands in
   /// the graph (in batch order, before the end-of-batch refreshes) —

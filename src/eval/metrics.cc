@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "util/logging.h"
@@ -36,6 +37,31 @@ double MaxRelativeError(std::span<const double> estimate,
   return worst;
 }
 
+namespace {
+
+/// TopK's prefilter block: 16 entries, tested as eight 2-lane vectors.
+/// The GCC/Clang vector extension lowers to SSE2 on baseline x86-64 and
+/// to NEON on aarch64, so there is one code path and no compile flag.
+constexpr uint32_t kTopKBlock = 16;
+using Lanes = double __attribute__((vector_size(16)));
+
+/// True when every entry of values[0..kTopKBlock) is <= `worst`. An
+/// ordered compare is false for a NaN on either side, so a block holding
+/// a NaN, or any block while `worst` is NaN, reads false.
+bool BlockAtMost(const double* values, double worst) {
+  const Lanes bound = {worst, worst};
+  Lanes lanes;
+  std::memcpy(&lanes, values, sizeof(lanes));
+  auto all = lanes <= bound;
+  for (uint32_t i = 2; i < kTopKBlock; i += 2) {
+    std::memcpy(&lanes, values + i, sizeof(lanes));
+    all &= lanes <= bound;
+  }
+  return (all[0] & all[1]) != 0;
+}
+
+}  // namespace
+
 std::vector<uint32_t> TopK(std::span<const double> values, size_t k) {
   k = std::min(k, values.size());
   // Total order even in the presence of NaNs: descending by value, NaNs
@@ -64,7 +90,7 @@ std::vector<uint32_t> TopK(std::span<const double> values, size_t k) {
   if (k == 0) return heap;
   std::make_heap(heap.begin(), heap.end(), before);
   double worst = values[heap.front()];
-  for (uint32_t id = static_cast<uint32_t>(k); id < values.size(); ++id) {
+  const auto offer = [&](uint32_t id) {
     const double v = values[id];
     if (!(v <= worst) && !std::isnan(v)) {
       std::pop_heap(heap.begin(), heap.end(), before);
@@ -72,7 +98,18 @@ std::vector<uint32_t> TopK(std::span<const double> values, size_t k) {
       std::push_heap(heap.begin(), heap.end(), before);
       worst = values[heap.front()];
     }
+  };
+  // The kept worst only rises in the order above, so an entry <= worst
+  // now is refused at every later point too: a block whose entries are
+  // all <= worst is skipped whole, and every other block offers each
+  // entry. The entries after the last full block are offered one by one.
+  const uint32_t n = static_cast<uint32_t>(values.size());
+  uint32_t id = static_cast<uint32_t>(k);
+  for (; n - id >= kTopKBlock; id += kTopKBlock) {
+    if (BlockAtMost(values.data() + id, worst)) continue;
+    for (uint32_t i = id; i < id + kTopKBlock; ++i) offer(i);
   }
+  for (; id < n; ++id) offer(id);
   std::sort_heap(heap.begin(), heap.end(), before);
   return heap;
 }

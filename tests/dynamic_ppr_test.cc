@@ -2,12 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/forward_push.h"
 #include "eval/query_gen.h"
+#include "graph/generators.h"
 #include "test_util.h"
+#include "util/parallel.h"
 
 namespace ppr {
 namespace {
@@ -502,6 +510,113 @@ TEST(DynamicSspprTest, FifoBranchKeepsPathRepairsLocal) {
     ASSERT_LT(MinResidue(tracker), 0.0);
     tracker.Refresh();
     ExpectRefreshed(tracker, dg);
+  }
+}
+
+// ---------------------------------------------------------------------
+// DynamicConcurrentRepairTest — DynamicSspprPool::Apply runs the batch's
+// tracker refreshes through ParallelFor on the shared WorkerPool. Runs
+// under TSAN via scripts/check.sh's DynamicConcurrent* filter.
+// ---------------------------------------------------------------------
+
+/// Sets PPR_THREADS for its lifetime and then restores what was there,
+/// so a run started with PPR_THREADS=1 keeps it for later tests.
+class ScopedThreadsEnv {
+ public:
+  explicit ScopedThreadsEnv(const char* value) {
+    if (const char* old = std::getenv("PPR_THREADS")) previous_ = old;
+    EXPECT_EQ(setenv("PPR_THREADS", value, 1), 0);
+  }
+  ~ScopedThreadsEnv() {
+    if (previous_.has_value()) {
+      EXPECT_EQ(setenv("PPR_THREADS", previous_->c_str(), 1), 0);
+    } else {
+      EXPECT_EQ(unsetenv("PPR_THREADS"), 0);
+    }
+  }
+
+ private:
+  std::optional<std::string> previous_;
+};
+
+TEST(DynamicConcurrentRepairTest, ParallelRefreshMatchesSerialBitForBit) {
+  Rng rng(41);
+  const Graph g = BarabasiAlbert(800, 4, rng);
+  UpdateWorkloadOptions workload;
+  workload.count = 96;
+  workload.delete_fraction = 0.3;
+  workload.node_add_fraction = 0.05;
+  workload.node_remove_fraction = 0.05;
+  workload.seed = 17;
+  const UpdateBatch stream = GenerateUpdateStream(g, workload).ValueOrDie();
+  size_t node_ops = 0;
+  for (const EdgeUpdate& up : stream.updates) {
+    node_ops += up.kind == UpdateKind::kAddNode ||
+                up.kind == UpdateKind::kRemoveNode;
+  }
+  ASSERT_GT(node_ops, 0u);
+
+  // Two pools on copies of one graph, with the same 12 trackers, and one
+  // single-tracker pool per source, whose push counts add up to the
+  // batch's total independently of Apply's summing.
+  DynamicSsppr::Options options;
+  options.rmax = 1e-7;
+  DynamicGraph serial_graph(g);
+  DynamicGraph parallel_graph(g);
+  DynamicSspprPool serial(&serial_graph, options);
+  DynamicSspprPool parallel(&parallel_graph, options);
+  const std::vector<NodeId> sources = SampleQuerySources(g, 12, 3);
+  std::vector<std::unique_ptr<DynamicGraph>> single_graphs;
+  std::vector<std::unique_ptr<DynamicSspprPool>> singles;
+  for (NodeId source : sources) {
+    serial.TrackerFor(source);
+    parallel.TrackerFor(source);
+    single_graphs.push_back(std::make_unique<DynamicGraph>(g));
+    singles.push_back(std::make_unique<DynamicSspprPool>(
+        single_graphs.back().get(), options));
+    singles.back()->TrackerFor(source);
+  }
+
+  const ScopedThreadsEnv four("4");
+  constexpr size_t kBatches = 4;
+  for (size_t b = 0; b < kBatches; ++b) {
+    SCOPED_TRACE(b);
+    UpdateBatch chunk;
+    chunk.updates.assign(
+        stream.updates.begin() + b * stream.size() / kBatches,
+        stream.updates.begin() + (b + 1) * stream.size() / kBatches);
+    uint64_t serial_pushes = 0;
+    {
+      // On a thread marked as a parallel worker, ParallelFor runs the
+      // refreshes in order on this thread.
+      internal::ScopedParallelWorker one_thread;
+      ASSERT_EQ(ParallelThreadCount(), 1u);
+      ASSERT_TRUE(serial.Apply(chunk, &serial_pushes).ok());
+    }
+    uint64_t parallel_pushes = 0;
+    ASSERT_EQ(ParallelThreadCount(), 4u);
+    ASSERT_TRUE(parallel.Apply(chunk, &parallel_pushes).ok());
+    uint64_t single_pushes = 0;
+    for (const auto& single : singles) {
+      ASSERT_TRUE(single->Apply(chunk, &single_pushes).ok());
+    }
+    EXPECT_GT(serial_pushes, 0u);
+    EXPECT_EQ(serial_pushes, single_pushes);
+    EXPECT_EQ(parallel_pushes, serial_pushes);
+    for (NodeId source : sources) {
+      const DynamicSsppr& want = *serial.Find(source);
+      const DynamicSsppr& got = *parallel.Find(source);
+      ASSERT_TRUE(testing::SameBits(got.estimate().reserve,
+                                    want.estimate().reserve))
+          << "source " << source;
+      ASSERT_TRUE(testing::SameBits(got.estimate().residue,
+                                    want.estimate().residue))
+          << "source " << source;
+      const double want_l1 = want.ResidueL1();
+      const double got_l1 = got.ResidueL1();
+      ASSERT_EQ(std::memcmp(&got_l1, &want_l1, sizeof(double)), 0)
+          << "source " << source;
+    }
   }
 }
 

@@ -623,11 +623,6 @@ TEST(DynamicSolverTest, ColdReadsReportTheirTrackerBuild) {
 // DynamicConcurrent* filter.
 // ---------------------------------------------------------------------
 
-bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
 TEST(DynamicConcurrentReadTest, ParallelReadsMatchSerialReadsBitForBit) {
   Rng rng(33);
   Graph graph = BarabasiAlbert(600, 3, rng);
@@ -719,7 +714,7 @@ TEST(DynamicConcurrentReadTest, ParallelReadsMatchSerialReadsBitForBit) {
         PprResult want;
         ASSERT_TRUE(serial.solver->Solve(query, context, &want).ok());
         const PprResult& have = got[t][i];
-        EXPECT_TRUE(SameBits(have.scores, want.scores))
+        EXPECT_TRUE(testing::SameBits(have.scores, want.scores))
             << spec << " thread " << t << " read " << i;
         EXPECT_EQ(have.top_nodes, want.top_nodes) << spec;
         EXPECT_EQ(have.epoch, want.epoch) << spec;

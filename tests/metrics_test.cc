@@ -101,7 +101,11 @@ TEST(MetricsTest, TopKMatchesAStableSortReference) {
   const double palette[] = {nan, 0.0, -0.0, inf, -inf, 1.0, 0.5, -0.5, 1e-9};
   Rng rng(20261017);
   std::vector<std::vector<double>> inputs;
-  for (size_t n : {1, 2, 3, 10, 11, 64, 257, 1000}) {
+  // TopK skips 16-entry blocks (from id k on) whose entries are all <=
+  // its current worst and offers the entries after the last full block
+  // one by one, so the lengths sit on either side of block boundaries.
+  for (size_t n : {1, 2, 3, 10, 11, 15, 16, 17, 31, 33, 64, 257, 1000, 4099,
+                   32768}) {
     for (int trial = 0; trial < 8; ++trial) {
       std::vector<double> values(n);
       for (double& v : values) {
@@ -112,8 +116,30 @@ TEST(MetricsTest, TopKMatchesAStableSortReference) {
       }
       inputs.push_back(std::move(values));
     }
+    // Skewed values, mostly below the kept ones, as in a PPR vector: most
+    // blocks are skipped, and a block with one large entry is not.
+    std::vector<double> skewed(n);
+    for (double& v : skewed) v = std::pow(rng.NextDouble(), 8.0);
+    inputs.push_back(skewed);
+    // NaNs over the first 16 entries: for k <= 16 the kept worst starts
+    // as NaN and stays NaN through the NaNs of the first block tested,
+    // and no block may be skipped until numbers have replaced it.
+    std::fill_n(skewed.begin(), std::min<size_t>(n, 16), nan);
+    inputs.push_back(std::move(skewed));
     inputs.emplace_back(n, nan);
     inputs.emplace_back(n, 0.25);
+  }
+  // Each special value at each offset of a block that a skip would
+  // otherwise pass over: every other entry ties the kept ones, so the
+  // block is skipped exactly when its special entry is <= them too.
+  for (const double special : {nan, inf, -inf, 0.0, -0.0, 1.0}) {
+    for (const double base : {0.25, 0.0, -0.0}) {
+      for (size_t offset = 0; offset < 32; ++offset) {
+        std::vector<double> values(64, base);
+        values[16 + offset] = special;
+        inputs.push_back(std::move(values));
+      }
+    }
   }
   for (const std::vector<double>& values : inputs) {
     const size_t n = values.size();

@@ -2,8 +2,10 @@
 // crash library entry points — they either succeed or return a Status.
 
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,7 +14,9 @@
 #include "approx/walk_index.h"
 #include "core/power_push.h"
 #include "graph/edge_list_io.h"
+#include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "serve/ppr_server.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -268,6 +272,151 @@ TEST(RobustnessTest, WalkCountOverflowIsInvalidArgument) {
     ASSERT_TRUE(solver->Solve(query, context, &result).ok());
     EXPECT_NEAR(testing::Sum(result.scores), 1.0, 0.2);
   }
+}
+
+// Out-of-range parameters are refused with InvalidArgument where they
+// enter, before any kernel's PPR_CHECK can abort the process: per query
+// at the top of Solver::Solve, and as registry options at Create. A set
+// alpha or lambda must lie in (0, 1); a set eps or mu must be finite and
+// > 0.
+
+/// Dead-end free and with in-adjacency, so every registry solver
+/// prepares on it.
+Graph StrictGraph() {
+  Graph g = CompleteGraph(12);
+  g.BuildInAdjacency();
+  return g;
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(RobustnessTest, OutOfRangeQueryParametersAreInvalidArgument) {
+  std::vector<PprQuery> bad;
+  for (double alpha : {1.5, 1.0, -0.2, kNan, kInf}) {
+    bad.emplace_back().alpha = alpha;
+  }
+  for (double lambda : {2.0, 1.0, -1e-3, kNan, kInf}) {
+    bad.emplace_back().lambda = lambda;
+  }
+  for (double epsilon : {-1.0, kNan, kInf, -kInf}) {
+    bad.emplace_back().epsilon = epsilon;
+  }
+  for (double mu : {-1.0, kNan, kInf}) bad.emplace_back().mu = mu;
+
+  const Graph g = StrictGraph();
+  for (const std::string& name : SolverRegistry::Global().Names()) {
+    SCOPED_TRACE(name);
+    auto created = SolverRegistry::Global().Create(name);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    std::unique_ptr<Solver> solver = std::move(created).ValueOrDie();
+    ASSERT_TRUE(solver->Prepare(g).ok());
+    PprQuery good;
+    good.source = 1;
+    good.top_k = 3;
+    if (solver->capabilities().family == SolverFamily::kSinglePair) {
+      good.target = 2;
+    }
+    SolverContext context;
+    PprResult result;
+    for (const PprQuery& values : bad) {
+      PprQuery query = good;
+      query.alpha = values.alpha;
+      query.lambda = values.lambda;
+      query.epsilon = values.epsilon;
+      query.mu = values.mu;
+      const Status solved = solver->Solve(query, context, &result);
+      EXPECT_EQ(solved.code(), StatusCode::kInvalidArgument)
+          << "alpha=" << query.alpha << " lambda=" << query.lambda
+          << " eps=" << query.epsilon << " mu=" << query.mu << ": "
+          << solved.ToString();
+    }
+    // The refusals changed nothing: the next good query answers as a
+    // fresh instance does.
+    ASSERT_TRUE(solver->Solve(good, context, &result).ok());
+    auto fresh = SolverRegistry::Global().Create(name);
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_TRUE(fresh.value()->Prepare(g).ok());
+    SolverContext fresh_context;
+    PprResult want;
+    ASSERT_TRUE(fresh.value()->Solve(good, fresh_context, &want).ok());
+    EXPECT_TRUE(testing::SameBits(result.scores, want.scores));
+    EXPECT_EQ(result.top_nodes, want.top_nodes);
+  }
+}
+
+TEST(RobustnessTest, OutOfRangeParameterOptionsAreInvalidArgument) {
+  struct Key {
+    const char* key;
+    const char* good;
+    std::vector<const char*> bad;
+  };
+  const Key keys[] = {
+      {"alpha", "0.15", {"1.5", "1", "0", "-0.2", "nan", "inf"}},
+      {"lambda", "1e-6", {"2", "1", "0", "-1e-3", "nan", "inf"}},
+      {"eps", "0.4", {"-1", "0", "nan", "inf", "-inf"}},
+      {"mu", "0.01", {"-1", "0", "nan", "inf"}},
+  };
+  size_t checked = 0;
+  for (const std::string& name : SolverRegistry::Global().Names()) {
+    for (const Key& key : keys) {
+      const std::string prefix = name + ":" + key.key + "=";
+      // Only the keys the solver reads; it refuses the others as unknown.
+      if (!SolverRegistry::Global().Create(prefix + key.good).ok()) continue;
+      checked++;
+      for (const char* value : key.bad) {
+        const auto created = SolverRegistry::Global().Create(prefix + value);
+        EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument)
+            << prefix << value;
+      }
+    }
+  }
+  // Every solver reads alpha, and at least one reads each other key.
+  EXPECT_GE(checked, SolverRegistry::Global().Names().size() + 3);
+}
+
+TEST(RobustnessTest, ServedOutOfRangeAlphaIsRefusedAndServingGoesOn) {
+  Rng rng(7);
+  const Graph g = BarabasiAlbert(200, 3, rng);
+  PprServerOptions options;
+  options.workers = 2;
+  PprServer server(options);
+  ASSERT_TRUE(server.AddSolver("powerpush", g).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  PprQuery bad;
+  bad.source = 3;
+  bad.alpha = 1.5;
+  auto refused = server.Submit(bad, {}, /*seed=*/11);
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  PprResult ignored;
+  EXPECT_EQ(refused.value().Get(&ignored).code(),
+            StatusCode::kInvalidArgument);
+
+  PprQuery good;
+  good.source = 3;
+  good.top_k = 5;
+  good.want_residues = true;
+  auto next = server.Submit(good, {}, /*seed=*/12);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  PprResult served;
+  ASSERT_TRUE(next.value().Get(&served).ok());
+  server.Stop();
+  const PprServerStats stats = server.Snapshot();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+
+  auto created = SolverRegistry::Global().Create("powerpush");
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<Solver> reference = std::move(created).ValueOrDie();
+  ASSERT_TRUE(reference->Prepare(g).ok());
+  SolverContext context(12);
+  PprResult want;
+  ASSERT_TRUE(reference->Solve(good, context, &want).ok());
+  EXPECT_TRUE(testing::SameBits(served.scores, want.scores));
+  EXPECT_TRUE(testing::SameBits(served.residues, want.residues));
+  EXPECT_EQ(served.top_nodes, want.top_nodes);
+  EXPECT_EQ(served.l1_bound, want.l1_bound);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #define PPR_TESTS_TEST_UTIL_H_
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,14 @@ inline std::vector<double> ExactPprDense(const Graph& graph, NodeId source,
     x[k] = sum / a[k][k];
   }
   return x;
+}
+
+/// True when `a` and `b` hold the same doubles bit for bit (so NaNs
+/// compare by payload and -0.0 differs from 0.0).
+inline bool SameBits(const std::vector<double>& a,
+                     const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 /// Sum of a vector's entries.
