@@ -1,12 +1,12 @@
 // google-benchmark microbenches for the primitives underneath every
 // result in the paper: push operations (queue vs sequential scan — the
-// core §5 trade-off), random-walk steps, SpeedPPR's walk phase serial
-// and through the shared pool, one whole served SpeedPPR query, SpMV,
-// walk-index lookups, the top-k selection every served result with
-// top_k > 0 runs, and one warm dynfwdpush read.
+// core §5 trade-off), walk-length draws, random-walk steps, SpeedPPR's
+// walk phase serial and through the shared pool, one whole served
+// SpeedPPR query, SpMV, walk-index lookups, the top-k selection every
+// served result with top_k > 0 runs, and one warm dynfwdpush read.
 //
-// CI's bench smoke runs the walk, push, query, top-k and read cases and
-// keeps the JSON (--benchmark_out=<dir>/BENCH_micro_ops.json
+// CI's bench smoke runs the draw, walk, push, query, top-k and read cases
+// and keeps the JSON (--benchmark_out=<dir>/BENCH_micro_ops.json
 // --benchmark_out_format=json), so the kernel layer's edge pushes/s and
 // walk steps/s are recorded with the other BENCH files.
 
@@ -103,6 +103,17 @@ void BM_RandomWalk(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(steps));
 }
 BENCHMARK(BM_RandomWalk);
+
+// One walk length per item: GeometricDraw answers from its table at
+// α = 0.2 and mostly from log1p at α = 1e-3.
+void BM_GeometricDraw(benchmark::State& state, double alpha) {
+  const GeometricDraw length(alpha);
+  Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(length(rng));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK_CAPTURE(BM_GeometricDraw, table_alpha_0_2, 0.2);
+BENCHMARK_CAPTURE(BM_GeometricDraw, formula_alpha_1e_3, 1e-3);
 
 /// A SpeedPPR (eps = 0.5) walk phase: the residue its phase 1 leaves
 /// (SpeedPprPushPhase: PowerPush to λ = m/W, then the refine to

@@ -22,10 +22,13 @@ struct WalkOutcome {
 };
 
 /// Performs one α-random walk from `origin` and returns where it stopped.
-/// `length` is GeometricDraw(α), built once per walk loop: the walk draws
-/// its geometric stop time first, then one NextBounded per move — one
-/// RNG call for the length instead of one Bernoulli per step. Inline,
-/// since every walk loop calls it once per walk.
+/// `length` is GeometricDraw(α), built once per walk loop (its table costs
+/// a few µs): the walk draws its geometric stop time first, then one
+/// NextBounded per move — one RNG call for the length instead of one
+/// Bernoulli per step. The length is one lookup in that table, exactly
+/// floor(log1p(−u)/log1p(−α)); log1p runs only for a u near a crossing
+/// of that quotient, or for most u at α ≤ 1e-3 (see GeometricDraw).
+/// Inline, since every walk loop calls it once per walk.
 inline WalkOutcome RandomWalk(const Graph& graph, NodeId origin,
                               const GeometricDraw& length, Rng& rng) {
   PPR_DCHECK(origin < graph.num_nodes());
@@ -42,13 +45,6 @@ inline WalkOutcome RandomWalk(const Graph& graph, NodeId origin,
     ++steps;
   }
   return {current, steps};
-}
-
-/// One walk at stop probability `alpha` (0 < α < 1); the same draws as
-/// the overload above.
-inline WalkOutcome RandomWalk(const Graph& graph, NodeId origin, double alpha,
-                              Rng& rng) {
-  return RandomWalk(graph, origin, GeometricDraw(alpha), rng);
 }
 
 /// Expected walk length is (1−α)/α; used by cost accounting and tests.

@@ -27,10 +27,15 @@ SolveStats ResAcc(const Graph& graph, NodeId source,
   // that later returns to it is accumulated rather than re-pushed.
   PprEstimate estimate;
   estimate.Reset(n, source);
-  std::vector<double>& reserve = estimate.reserve;
-  std::vector<double>& residue = estimate.residue;
+  // Local bases, which no store in the loop can make the compiler reload
+  // (see FifoQueue's Cursor).
+  double* const reserve = estimate.reserve.data();
+  double* const residue = estimate.residue.data();
+  const EdgeId* const offsets = graph.out_offsets().data();
+  const NodeId* const targets = graph.out_targets().data();
 
-  FifoQueue queue(n);
+  FifoQueue fifo(n);
+  FifoQueue::Cursor queue = fifo.Open();
   queue.PushIfAbsent(source);
   bool source_seeded = false;
   while (!queue.empty()) {
@@ -41,18 +46,21 @@ SolveStats ResAcc(const Graph& graph, NodeId source,
     if (v == source) source_seeded = true;
     reserve[v] += alpha * r;
     const double push = (1.0 - alpha) * r;
-    const NodeId d = graph.OutDegree(v);
+    const EdgeId begin = offsets[v];
+    const EdgeId end = offsets[v + 1];
+    const NodeId d = static_cast<NodeId>(end - begin);
     residue[v] = 0.0;
     if (d == 0) {
       residue[source] += push;
       stats.edge_pushes += 1;
     } else {
       const double inc = push / d;
-      for (NodeId u : graph.OutNeighbors(v)) {
+      for (EdgeId e = begin; e < end; ++e) {
+        const NodeId u = targets[e];
         residue[u] += inc;
         if (u != source &&
             residue[u] >
-                static_cast<double>(EffectiveDegree(graph, u)) * rmax) {
+                static_cast<double>(EffectiveDegree(offsets, u)) * rmax) {
           queue.PushIfAbsent(u);
         }
       }
@@ -60,6 +68,7 @@ SolveStats ResAcc(const Graph& graph, NodeId source,
     }
     stats.push_operations++;
   }
+  fifo.Close(queue);
 
   // Distribute the accumulated source residue: mass that returned to s
   // will eventually spread as a fresh PPR vector from s, i.e.
@@ -76,10 +85,10 @@ SolveStats ResAcc(const Graph& graph, NodeId source,
   }
 
   // Monte-Carlo phase, identical to FORA's.
-  *out = reserve;
+  *out = estimate.reserve;
   const double rsum = estimate.ResidueSum();
-  ResidueWalkPhase(graph, residue, w, alpha, rng, /*index=*/nullptr, out,
-                   &stats, options.threads);
+  ResidueWalkPhase(graph, estimate.residue, w, alpha, rng, /*index=*/nullptr,
+                   out, &stats, options.threads);
 
   stats.final_rsum = rsum;
   stats.seconds = timer.ElapsedSeconds();

@@ -23,28 +23,34 @@ SolveStats BackwardPush(const Graph& graph, NodeId target,
   // reserve[v] underestimates pi(v, target); residue[v] is the
   // yet-unprocessed contribution weight of pi(., v).
   out->Reset(n, target);
-  std::vector<double>& reserve = out->reserve;
-  std::vector<double>& residue = out->residue;
+  // Local bases, which no store in the loop can make the compiler reload
+  // (see FifoQueue's Cursor).
+  double* const reserve = out->reserve.data();
+  double* const residue = out->residue.data();
+  const EdgeId* const offsets = graph.out_offsets().data();
+  const double rmax = options.rmax;
 
-  FifoQueue queue(n);
+  FifoQueue fifo(n);
+  FifoQueue::Cursor queue = fifo.Open();
   queue.PushIfAbsent(target);
 
   SolveStats stats;
   while (!queue.empty()) {
     const NodeId u = queue.Pop();
     const double r = residue[u];
-    if (r <= options.rmax) continue;  // may have been drained already
+    if (r <= rmax) continue;  // may have been drained already
     reserve[u] += alpha * r;
     residue[u] = 0.0;
     const double push = (1.0 - alpha) * r;
     for (NodeId w : graph.InNeighbors(u)) {
       // w reaches u with probability 1/d_w per step.
-      residue[w] += push / graph.OutDegree(w);
-      if (residue[w] > options.rmax) queue.PushIfAbsent(w);
+      residue[w] += push / static_cast<NodeId>(offsets[w + 1] - offsets[w]);
+      if (residue[w] > rmax) queue.PushIfAbsent(w);
       stats.edge_pushes++;
     }
     stats.push_operations++;
   }
+  fifo.Close(queue);
 
   stats.final_rsum = out->ResidueSum();
   stats.seconds = timer.ElapsedSeconds();

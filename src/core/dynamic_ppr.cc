@@ -21,55 +21,65 @@ DynamicSsppr::DynamicSsppr(DynamicGraph* graph, NodeId source,
   if (pushes != nullptr) *pushes = built;
 }
 
-bool DynamicSsppr::IsActive(NodeId v) const {
-  return std::fabs(estimate_.residue[v]) >
-         static_cast<double>(EffectiveDegreeOf(v)) * options_.rmax;
-}
-
 uint64_t DynamicSsppr::PushLoop() {
   const double alpha = options_.alpha;
-  const NodeId n = graph_->num_nodes();
+  const double rmax = options_.rmax;
+  const DynamicGraph& graph = *graph_;
+  const NodeId n = graph.num_nodes();
+  const NodeId source = source_;
+  // Local bases, which no store in the loops can make the compiler
+  // reload (see FifoQueue's Cursor).
+  double* const reserve = estimate_.reserve.data();
+  double* const residue = estimate_.residue.data();
+  const auto active = [&](NodeId v) {
+    const NodeId d = graph.OutDegree(v);
+    return std::fabs(residue[v]) >
+           static_cast<double>(d == 0 ? 1 : d) * rmax;
+  };
   // Pushes work symmetrically for negative residue (insertions shrink
   // old neighbors' transition probability, deletions take the removed
   // target's share away, so corrections can be negative): reserve
   // decreases and negative mass propagates. `touched` sees every node
   // whose residue changed.
   const auto push = [&](NodeId v, auto&& touched) {
-    const double r = estimate_.residue[v];
-    estimate_.reserve[v] += alpha * r;
-    estimate_.residue[v] = 0.0;
+    const double r = residue[v];
+    reserve[v] += alpha * r;
+    residue[v] = 0.0;
     const double mass = (1.0 - alpha) * r;
-    const NodeId d = graph_->OutDegree(v);
+    const NodeId d = graph.OutDegree(v);
     if (d == 0) {
-      estimate_.residue[source_] += mass;
-      touched(source_);
+      residue[source] += mass;
+      touched(source);
       return;
     }
     const double inc = mass / d;
-    for (NodeId u : graph_->OutNeighbors(v)) {
-      estimate_.residue[u] += inc;
+    for (NodeId u : graph.OutNeighbors(v)) {
+      residue[u] += inc;
       touched(u);
     }
   };
 
   // Local phase (Algorithm 3): FIFO pushes while the frontier is small,
   // so a repair's cost stays proportional to what the update disturbed.
-  FifoQueue queue(n);
+  FifoQueue fifo(n);
+  FifoQueue::Cursor queue = fifo.Open();
   for (NodeId v = 0; v < n; ++v) {
-    if (IsActive(v)) queue.PushIfAbsent(v);
+    if (active(v)) queue.PushIfAbsent(v);
   }
   const size_t scan_threshold =
       static_cast<size_t>(std::max(1.0, kScanThresholdFraction * n));
   uint64_t pushes = 0;
   while (!queue.empty() && queue.size() <= scan_threshold) {
     const NodeId v = queue.Pop();
-    if (estimate_.residue[v] == 0.0) continue;
+    if (residue[v] == 0.0) continue;
     push(v, [&](NodeId u) {
-      if (IsActive(u)) queue.PushIfAbsent(u);
+      if (active(u)) queue.PushIfAbsent(u);
     });
     pushes++;
   }
-  if (queue.empty()) return pushes;
+  const bool drained = queue.empty();
+  fifo.Close(queue);
+  if (drained) return pushes;
 
   // Global phase: the work has gone global, so sweep the nodes in id
   // order and push every active one until a pass finds none — the same
@@ -78,7 +88,7 @@ uint64_t DynamicSsppr::PushLoop() {
   do {
     pass_pushes = 0;
     for (NodeId v = 0; v < n; ++v) {
-      if (!IsActive(v)) continue;
+      if (!active(v)) continue;
       push(v, [](NodeId) {});
       pass_pushes++;
     }

@@ -109,11 +109,6 @@ class DynamicSsppr {
   const Options& options() const { return options_; }
 
  private:
-  NodeId EffectiveDegreeOf(NodeId v) const {
-    NodeId d = graph_->OutDegree(v);
-    return d == 0 ? 1 : d;
-  }
-  bool IsActive(NodeId v) const;
   uint64_t PushLoop();
 
   DynamicGraph* graph_;

@@ -18,21 +18,26 @@ SolveStats RunFifoLoop(const Graph& graph, NodeId source, double alpha,
                        const CancelToken* cancel, NodeSet* support) {
   const NodeId n = graph.num_nodes();
   FifoQueue local_queue(scratch != nullptr ? 0 : n);
-  FifoQueue& queue = scratch != nullptr ? *scratch : local_queue;
-  if (scratch != nullptr) queue.Reconfigure(n);
+  FifoQueue& fifo = scratch != nullptr ? *scratch : local_queue;
+  if (scratch != nullptr) fifo.Reconfigure(n);
+  // The workspace and CSR bases are locals, which no store in the loop
+  // can make the compiler reload (see FifoQueue's Cursor).
+  double* const reserve = estimate->reserve.data();
+  double* const residue = estimate->residue.data();
+  const EdgeId* const offsets = graph.out_offsets().data();
+  const NodeId* const targets = graph.out_targets().data();
+  FifoQueue::Cursor queue = fifo.Open();
   double rsum = 0.0;
   ForEachNode(support, n, [&](NodeId v) {
-    const double r = estimate->residue[v];
+    const double r = residue[v];
     rsum += r;
-    if (r > static_cast<double>(EffectiveDegree(graph, v)) * rmax) {
+    if (r > static_cast<double>(EffectiveDegree(offsets, v)) * rmax) {
       queue.PushIfAbsent(v);
     }
   });
 
   SolveStats stats;
   Timer timer;
-  std::vector<double>& reserve = estimate->reserve;
-  std::vector<double>& residue = estimate->residue;
 
   // Cancellation poll cadence: cheap enough to be invisible, frequent
   // enough that a deadline miss stays within ~1024 pushes of compute.
@@ -49,24 +54,27 @@ SolveStats RunFifoLoop(const Graph& graph, NodeId source, double alpha,
     reserve[v] += alpha * r;
     rsum -= alpha * r;
     const double push = (1.0 - alpha) * r;
-    const NodeId d = graph.OutDegree(v);
+    const EdgeId begin = offsets[v];
+    const EdgeId end = offsets[v + 1];
+    const NodeId d = static_cast<NodeId>(end - begin);
     residue[v] = 0.0;
     if (d == 0) {
       // Dead end: the remaining mass jumps back to the source.
       residue[source] += push;
       if (residue[source] >
-          static_cast<double>(EffectiveDegree(graph, source)) * rmax) {
+          static_cast<double>(EffectiveDegree(offsets, source)) * rmax) {
         queue.PushIfAbsent(source);
       }
       if (support != nullptr) support->Insert(source);
       stats.edge_pushes += 1;
     } else {
       const double inc = push / d;
-      for (NodeId u : graph.OutNeighbors(v)) {
+      for (EdgeId e = begin; e < end; ++e) {
+        const NodeId u = targets[e];
         residue[u] += inc;
         queue.PushIfActive(
             u, residue[u] >
-                   static_cast<double>(EffectiveDegree(graph, u)) * rmax);
+                   static_cast<double>(EffectiveDegree(offsets, u)) * rmax);
         if (support != nullptr) support->Insert(u);
       }
       stats.edge_pushes += d;
@@ -76,6 +84,7 @@ SolveStats RunFifoLoop(const Graph& graph, NodeId source, double alpha,
       trace->Record(stats.edge_pushes, rsum);
     }
   }
+  fifo.Close(queue);
 
   stats.final_rsum = rsum;
   stats.seconds = timer.ElapsedSeconds();

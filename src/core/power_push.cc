@@ -104,8 +104,13 @@ SolveStats PowerPush(const Graph& graph, NodeId source,
   if (trace != nullptr) trace->Start();
   out->EnsureStartState(n, source, options.assume_initialized);
   if (support != nullptr) support->Insert(source);
-  std::vector<double>& reserve = out->reserve;
-  std::vector<double>& residue = out->residue;
+  // Both phases index the workspace and the CSR through local bases,
+  // which no store in their loops can make the compiler reload (see
+  // FifoQueue's Cursor).
+  double* const reserve = out->reserve.data();
+  double* const residue = out->residue.data();
+  const EdgeId* const offsets = graph.out_offsets().data();
+  const NodeId* const targets = graph.out_targets().data();
 
   SolveStats stats;
   double rsum = 1.0;
@@ -118,8 +123,9 @@ SolveStats PowerPush(const Graph& graph, NodeId source,
   // ---- Phase 1: local FIFO pushes while the frontier is sparse. ----
   if (options.use_queue_phase) {
     FifoQueue local_queue(scratch != nullptr ? 0 : n);
-    FifoQueue& queue = scratch != nullptr ? *scratch : local_queue;
-    if (scratch != nullptr) queue.Reconfigure(n);
+    FifoQueue& fifo = scratch != nullptr ? *scratch : local_queue;
+    if (scratch != nullptr) fifo.Reconfigure(n);
+    FifoQueue::Cursor queue = fifo.Open();
     queue.PushIfAbsent(source);
     while (!queue.empty() && queue.size() <= scan_threshold &&
            rsum > lambda) {
@@ -133,22 +139,25 @@ SolveStats PowerPush(const Graph& graph, NodeId source,
       reserve[v] += alpha * r;
       rsum -= alpha * r;
       const double push = (1.0 - alpha) * r;
-      const NodeId d = graph.OutDegree(v);
+      const EdgeId begin = offsets[v];
+      const EdgeId end = offsets[v + 1];
+      const NodeId d = static_cast<NodeId>(end - begin);
       residue[v] = 0.0;
       if (d == 0) {
         residue[source] += push;
         if (residue[source] >
-            static_cast<double>(EffectiveDegree(graph, source)) * rmax) {
+            static_cast<double>(EffectiveDegree(offsets, source)) * rmax) {
           queue.PushIfAbsent(source);
         }
         stats.edge_pushes += 1;
       } else {
         const double inc = push / d;
-        for (NodeId u : graph.OutNeighbors(v)) {
+        for (EdgeId e = begin; e < end; ++e) {
+          const NodeId u = targets[e];
           residue[u] += inc;
           queue.PushIfActive(
               u, residue[u] >
-                     static_cast<double>(EffectiveDegree(graph, u)) * rmax);
+                     static_cast<double>(EffectiveDegree(offsets, u)) * rmax);
           if (support != nullptr) support->Insert(u);
         }
         stats.edge_pushes += d;
@@ -158,6 +167,7 @@ SolveStats PowerPush(const Graph& graph, NodeId source,
         trace->Record(stats.edge_pushes, rsum);
       }
     }
+    fifo.Close(queue);
   }
 
   // ---- Phase 2: global scans with a dynamic threshold. ----
@@ -169,15 +179,13 @@ SolveStats PowerPush(const Graph& graph, NodeId source,
     ThreadDenseBuffers local_buffers;
     ThreadDenseBuffers* deltas = nullptr;
     if (threads > 1) {
-      const auto& off = graph.out_offsets();
-      row_bounds = BalancedChunkBounds(
-          n, threads, [&](uint64_t v) { return off[v + 1] - off[v] + 1; });
+      row_bounds = BalancedChunkBounds(n, threads, [&](uint64_t v) {
+        return offsets[v + 1] - offsets[v] + 1;
+      });
       deltas = thread_scratch != nullptr ? thread_scratch : &local_buffers;
       EnsureThreadBuffers(deltas, threads, n);
     }
     const int epochs = options.use_epochs ? options.epoch_num : 1;
-    const auto& offsets = graph.out_offsets();
-    const auto& targets = graph.out_targets();
     // Over-relaxation (serial scan only): `measuring` holds until the
     // first epoch that runs a pass, which runs at ω = 1 and sets `omega`
     // and `passes_per_decade`; a tripped guard puts ω back to 1 for the

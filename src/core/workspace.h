@@ -121,6 +121,14 @@ inline NodeId EffectiveDegree(const Graph& graph, NodeId v) {
   return d == 0 ? 1 : d;
 }
 
+/// The same, read from a local copy of graph.out_offsets().data(): the
+/// FIFO push loops keep their CSR bases in locals (see FifoQueue's
+/// Cursor for why).
+inline NodeId EffectiveDegree(const EdgeId* offsets, NodeId v) {
+  const NodeId d = static_cast<NodeId>(offsets[v + 1] - offsets[v]);
+  return d == 0 ? 1 : d;
+}
+
 }  // namespace ppr
 
 #endif  // PPR_CORE_WORKSPACE_H_

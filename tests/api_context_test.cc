@@ -189,10 +189,15 @@ TEST(SolverContextTest, UntrackedSolveAfterTrackedOneIsScannedInFull) {
 TEST(SolverContextTest, QueueIsReusedAcrossAcquires) {
   SolverContext context;
   FifoQueue* q1 = context.AcquireQueue(16);
-  q1->PushIfAbsent(3);
+  FifoQueue::Cursor cursor = q1->Open();
+  cursor.PushIfAbsent(3);
+  q1->Close(cursor);
   FifoQueue* q2 = context.AcquireQueue(16);
   EXPECT_EQ(q1, q2);
-  EXPECT_TRUE(q2->empty()) << "Reconfigure drains leftovers";
+  cursor = q2->Open();
+  EXPECT_TRUE(cursor.empty()) << "Reconfigure drains leftovers";
+  q2->Close(cursor);
+  EXPECT_FALSE(q2->Contains(3));
   FifoQueue* q3 = context.AcquireQueue(32);
   EXPECT_EQ(q1, q3);
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -86,15 +87,57 @@ TEST(RngTest, GeometricWithPOneIsZero) {
 }
 
 TEST(RngTest, GeometricDrawMatchesNextGeometricDrawForDraw) {
-  // The walk kernels hoist log1p(−α) out of the walk loop; that must
-  // not move a single walk length.
-  for (double p : {0.01, 0.15, 0.2, 0.5, 0.9}) {
+  // GeometricDraw answers from a table of the points where
+  // log1p(−u)/log1p(−p) crosses an integer and runs that formula only
+  // near them; that must not move a single walk length. Beside whole RNG
+  // streams, FromUniform is fed every point of NextDouble's grid
+  // (multiples of 2^-53) within 4,096 points of each crossing k ≤ 400,
+  // found by bisection on the formula, and within 256 points of each
+  // cell edge (multiples of 1/512).
+  constexpr double kGridStep = 0x1.0p-53;
+  constexpr int64_t kGridPoints = int64_t{1} << 53;  // grid points in [0, 1)
+  for (double p : {1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3,
+                   0.5, 0.7, 0.85, 0.9, 0.999999}) {
     const GeometricDraw draw(p);
     Rng hoisted(19);
     Rng reference(19);
     for (int i = 0; i < 1000000; ++i) {
       ASSERT_EQ(draw(hoisted), reference.NextGeometric(p))
           << "p=" << p << " draw " << i;
+    }
+
+    // Rng::NextGeometric's formula at grid point i.
+    const auto formula = [p](int64_t i) {
+      const double u = static_cast<double>(i) * kGridStep;
+      return static_cast<uint64_t>(
+          std::floor(std::log1p(-u) / std::log1p(-p)));
+    };
+    // The first grid point within `radius` of `center` where the table
+    // and the formula disagree, or -1.
+    const auto first_mismatch = [&](int64_t center, int64_t radius) {
+      const int64_t end = std::min(kGridPoints - 1, center + radius);
+      for (int64_t i = std::max<int64_t>(0, center - radius); i <= end; ++i) {
+        if (draw.FromUniform(static_cast<double>(i) * kGridStep) !=
+            formula(i)) {
+          return i;
+        }
+      }
+      return int64_t{-1};
+    };
+    for (uint64_t k = 1; k <= 400 && formula(kGridPoints - 1) >= k; ++k) {
+      // The first grid point whose length reaches k.
+      int64_t below = 0;
+      int64_t reached = kGridPoints - 1;
+      while (reached - below > 1) {
+        const int64_t mid = below + (reached - below) / 2;
+        (formula(mid) >= k ? reached : below) = mid;
+      }
+      ASSERT_EQ(first_mismatch(reached, 4096), -1)
+          << "p=" << p << " crossing k=" << k;
+    }
+    for (int64_t edge = 0; edge <= 512; ++edge) {
+      ASSERT_EQ(first_mismatch(edge * (kGridPoints / 512), 256), -1)
+          << "p=" << p << " cell edge " << edge;
     }
   }
 }
